@@ -33,8 +33,9 @@ from .errors import (
     ReportFormatError,
     StageError,
 )
-from .identify import enroll, load_table, nearest_match, save_table
+from .identify import LookupTable, enroll, load_table, nearest_match, save_table
 from .imagecore import (
+    AxisRect,
     BinaryImage,
     Component,
     Otsu,
@@ -165,6 +166,46 @@ def _feature_dict(f: BoltFeatures, ppm: float) -> dict:
     }
 
 
+def _component_report(
+    path: str, index: int, rect: AxisRect | None, mask: BinaryImage,
+    cfg: PipelineConfig, ppm: float,
+    *, table: LookupTable | None = None, reject_frac: float = 0.1,
+) -> tuple[dict, dict, StageError | None]:
+    """Measure one component: its report record, timing row and failure.
+
+    A StageError is kept in the record's error field and returned rather
+    than raised.  With a table the features are also matched.
+    """
+    rec = {
+        "path": path, "component": index,
+        "rect": None if rect is None else [rect.x, rect.y, rect.w, rect.h],
+        "features": None, "match": None, "error": None,
+    }
+    stages: dict[str, float] = {}
+    err = None
+    t0 = time.perf_counter()
+    try:
+        feats = extract_features(mask, cfg, timings=stages)
+    except StageError as exc:
+        err = exc
+        rec["error"] = str(exc)
+    else:
+        rec["features"] = _feature_dict(feats, ppm)
+        if table is not None:
+            m = nearest_match(feats, table, reject_frac=reject_frac)
+            rec["match"] = {
+                "name": m.name,
+                "distance_px": m.distance_px,
+                "threading_agreed": m.threading_agreed,
+            }
+    row = {
+        "path": path, "component": index,
+        "stages_ms": {k: v * 1000.0 for k, v in stages.items()},
+        "total_ms": (time.perf_counter() - t0) * 1000.0,
+    }
+    return rec, row, err
+
+
 def make_report(
     command: str,
     cfg: PipelineConfig,
@@ -268,31 +309,12 @@ def cmd_identify(args: argparse.Namespace) -> int:
             print(f"warning: no components in {path}", file=sys.stderr)
             continue
         for i, comp in enumerate(comps):
-            rec = {
-                "path": path, "component": i,
-                "rect": [comp.rect.x, comp.rect.y, comp.rect.w, comp.rect.h],
-                "features": None, "match": None, "error": None,
-            }
-            stages: dict[str, float] = {}
-            t0 = time.perf_counter()
-            try:
-                feats = extract_features(comp.mask, cfg, timings=stages)
-            except StageError as exc:
-                rec["error"] = str(exc)
-            else:
-                m = nearest_match(feats, table, reject_frac=args.reject_frac)
-                rec["features"] = _feature_dict(feats, ppm)
-                rec["match"] = {
-                    "name": m.name,
-                    "distance_px": m.distance_px,
-                    "threading_agreed": m.threading_agreed,
-                }
-            timing_rows.append({
-                "path": path, "component": i,
-                "stages_ms": {k: v * 1000.0 for k, v in stages.items()},
-                "total_ms": (time.perf_counter() - t0) * 1000.0,
-            })
+            rec, row, _ = _component_report(
+                path, i, comp.rect, comp.mask, cfg, ppm,
+                table=table, reject_frac=args.reject_frac,
+            )
             records.append(rec)
+            timing_rows.append(row)
 
     matched = [r for r in records if r["match"] is not None]
     named = [r for r in matched if r["match"]["name"] is not None]
@@ -358,34 +380,20 @@ def cmd_measure(args: argparse.Namespace) -> int:
         # let the pipeline report the canonical empty-input failure
         idx, mask, rect = 0, img, None
 
-    stages: dict[str, float] = {}
-    t0 = time.perf_counter()
-    feats = extract_features(mask, cfg, timings=stages)
-    total_ms = (time.perf_counter() - t0) * 1000.0
-
-    print(f"major: {feats.major_px:.1f} px = {feats.major_px / ppm:.2f} mm")
-    print(f"minor: {feats.minor_px:.1f} px = {feats.minor_px / ppm:.2f} mm")
-    print(f"threading: {feats.threading.value}")
-    if feats.pitch_px is None:
+    record, row, err = _component_report(args.image, idx, rect, mask, cfg, ppm)
+    if err is not None:
+        raise err
+    f = record["features"]
+    print(f"major: {f['major_px']:.1f} px = {f['major_mm']:.2f} mm")
+    print(f"minor: {f['minor_px']:.1f} px = {f['minor_mm']:.2f} mm")
+    print(f"threading: {f['threading']}")
+    if f["pitch_px"] is None:
         print("pitch: n/a")
     else:
-        print(f"pitch: {feats.pitch_px:.2f} px = {feats.pitch_px / ppm:.3f} mm")
+        print(f"pitch: {f['pitch_px']:.2f} px = {f['pitch_mm']:.3f} mm")
 
     if args.json is not None:
-        record = {
-            "path": args.image, "component": idx,
-            "rect": None if rect is None else [rect.x, rect.y, rect.w, rect.h],
-            "features": _feature_dict(feats, ppm),
-            "match": None, "error": None,
-        }
-        timings = {
-            "per_component": [{
-                "path": args.image, "component": idx,
-                "stages_ms": {k: v * 1000.0 for k, v in stages.items()},
-                "total_ms": total_ms,
-            }],
-            "total_ms": total_ms,
-        }
+        timings = {"per_component": [row], "total_ms": row["total_ms"]}
         summary = {"images": 1, "components": len(comps), "errors": 0}
         _write_report(make_report("measure", cfg, ppm, [record], summary, timings),
                       args.json)

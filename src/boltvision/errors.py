@@ -63,12 +63,6 @@ class ConfigError(BoltVisionError):
     kind = "config"
 
 
-class SingularQuadError(BoltVisionError):
-    """A quadrilateral is degenerate and defines no invertible mapping."""
-
-    kind = "singular-quad"
-
-
 class GeometryError(BoltVisionError):
     """Requested geometry cannot be realised (e.g. shape exceeds canvas)."""
 

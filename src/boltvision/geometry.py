@@ -12,11 +12,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .errors import EmptyInputError, GeometryError, SingularQuadError
+from .errors import EmptyInputError, GeometryError
 from .imagecore import BinaryImage, PixelPoint
 
 
@@ -76,30 +76,6 @@ class RotatedRect:
         c2 = PointF(c1.x - self.size_h * hx, c1.y - self.size_h * hy)
         c3 = PointF(c0.x - self.size_h * hx, c0.y - self.size_h * hy)
         return [c0, c1, c2, c3]
-
-
-@dataclass(frozen=True)
-class Homography:
-    """3x3 projective map, normalized so m[2][2] == 1."""
-
-    m: np.ndarray
-
-    def __post_init__(self):
-        a = np.asarray(self.m, dtype=np.float64)
-        if a.shape != (3, 3):
-            raise SingularQuadError(f"homography matrix must be 3x3, got {a.shape}")
-        a = a.copy()
-        a.setflags(write=False)
-        object.__setattr__(self, "m", a)
-
-    def apply(self, p: PointF | tuple[float, float]) -> PointF:
-        x, y = p
-        m = self.m
-        w = m[2, 0] * x + m[2, 1] * y + m[2, 2]
-        return PointF(
-            (m[0, 0] * x + m[0, 1] * y + m[0, 2]) / w,
-            (m[1, 0] * x + m[1, 1] * y + m[1, 2]) / w,
-        )
 
 
 # Moore neighborhood, counter-clockwise on screen, starting west.  After a
@@ -308,55 +284,14 @@ def is_contour_convex(c: Contour, tol: float = 1.5) -> bool:
     return float(best.max()) <= tol
 
 
-def _collinear_triple(q: Sequence[tuple[float, float]]) -> bool:
-    xs = [p[0] for p in q]
-    ys = [p[1] for p in q]
-    span = max(max(xs) - min(xs), max(ys) - min(ys), 1.0)
-    for i in range(4):
-        a, b, c = (q[j] for j in (i, (i + 1) % 4, (i + 2) % 4))
-        cross = (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
-        if abs(cross) <= 1e-9 * span * span:
-            return True
-    return False
-
-
-def homography_from_quad(
-    src: Sequence[tuple[float, float]], dst: Sequence[tuple[float, float]]
-) -> Homography:
-    """Projective map sending the 4 src corners onto the 4 dst corners.
-
-    Solved exactly from the 8x8 linear system; quads with any 3 corners
-    collinear have no invertible solution and are rejected.
-    """
-    if len(src) != 4 or len(dst) != 4:
-        raise SingularQuadError("both quads must have exactly 4 points")
-    if _collinear_triple(src) or _collinear_triple(dst):
-        raise SingularQuadError("quad has 3 collinear corners")
-    a = np.zeros((8, 8), dtype=np.float64)
-    rhs = np.zeros(8, dtype=np.float64)
-    for i, ((x, y), (u, v)) in enumerate(zip(src, dst)):
-        a[2 * i] = [x, y, 1, 0, 0, 0, -x * u, -y * u]
-        a[2 * i + 1] = [0, 0, 0, x, y, 1, -x * v, -y * v]
-        rhs[2 * i] = u
-        rhs[2 * i + 1] = v
-    try:
-        h = np.linalg.solve(a, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise SingularQuadError(f"degenerate quad: {exc}") from exc
-    m = np.array(
-        [[h[0], h[1], h[2]], [h[3], h[4], h[5]], [h[6], h[7], 1.0]],
-        dtype=np.float64,
-    )
-    return Homography(m)
-
-
 def warp_to_upright(img: BinaryImage, r: RotatedRect) -> BinaryImage:
     """Resample the rect's content into an upright round(w) x round(h) image.
 
-    Output pixel centers are inverse-mapped through the homography from the
-    upright corners to the rect corners and sampled nearest-neighbor, so the
-    result stays strictly binary; samples outside the source are black.
-    Output x runs along the rect's size_w axis.
+    Output pixel centers are mapped back into the source by the rect's
+    rotation about its center, scaled by size / round(size) so the output
+    spans the rect exactly, and sampled nearest-neighbor, so the result
+    stays strictly binary; samples outside the source are black.  Output x
+    runs along the rect's size_w axis.
     """
     if not (math.isfinite(r.size_w) and math.isfinite(r.size_h)):
         raise GeometryError("rect size is not finite")
@@ -365,24 +300,14 @@ def warp_to_upright(img: BinaryImage, r: RotatedRect) -> BinaryImage:
     if out_w < 1 or out_h < 1:
         raise GeometryError(f"degenerate rect size ({r.size_w}, {r.size_h})")
     t = math.radians(r.angle)
-    wx, wy = math.cos(t), math.sin(t)
-    hx, hy = -math.sin(t), math.cos(t)
+    c, s = math.cos(t), math.sin(t)
     cx, cy = r.center
-    w2, h2 = r.size_w / 2.0, r.size_h / 2.0
-    src = [
-        (cx - w2 * wx - h2 * hx, cy - w2 * wy - h2 * hy),
-        (cx + w2 * wx - h2 * hx, cy + w2 * wy - h2 * hy),
-        (cx + w2 * wx + h2 * hx, cy + w2 * wy + h2 * hy),
-        (cx - w2 * wx + h2 * hx, cy - w2 * wy + h2 * hy),
-    ]
-    hom = homography_from_quad([(0, 0), (out_w, 0), (out_w, out_h), (0, out_h)], src)
-    m = hom.m
-    xs = np.arange(out_w, dtype=np.float64) + 0.5
-    ys = np.arange(out_h, dtype=np.float64) + 0.5
-    gx, gy = np.meshgrid(xs, ys)
-    denom = m[2, 0] * gx + m[2, 1] * gy + m[2, 2]
-    sx = np.floor((m[0, 0] * gx + m[0, 1] * gy + m[0, 2]) / denom).astype(np.int64)
-    sy = np.floor((m[1, 0] * gx + m[1, 1] * gy + m[1, 2]) / denom).astype(np.int64)
+    # offsets from the rect center along its w axis (columns) and h axis
+    # (rows), broadcast to an out_h x out_w grid below
+    u = (np.arange(out_w) + 0.5 - out_w / 2.0) * (r.size_w / out_w)
+    v = (np.arange(out_h)[:, None] + 0.5 - out_h / 2.0) * (r.size_h / out_h)
+    sx = np.floor(cx + u * c - v * s).astype(np.int64)
+    sy = np.floor(cy + u * s + v * c).astype(np.int64)
     h_src, w_src = img.px.shape
     valid = (sx >= 0) & (sx < w_src) & (sy >= 0) & (sy < h_src)
     out = np.zeros((out_h, out_w), dtype=bool)

@@ -12,20 +12,12 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Sequence
 
-from .errors import CsvFormatError, EnrollmentError, ParameterError
+from .errors import CsvFormatError, EnrollmentError, ParameterError, StageError
 from .imagecore import BinaryImage
-from .pipeline import (
-    BoltFeatures,
-    PipelineConfig,
-    ThreadingType,
-    classify_threading,
-    measure_axes,
-    orient,
-    remove_head,
-)
+from .pipeline import BoltFeatures, PipelineConfig, ThreadingType, extract_features
 
 log = logging.getLogger(__name__)
 
@@ -144,9 +136,9 @@ def enroll(
 ) -> LookupTable:
     """Measure one image per name and build a lookup table.
 
-    Each sample runs the orientation, axis, head-removal, and threading
-    stages; pitch is not needed for identification.  A failure on any
-    sample aborts enrollment with an error naming it.  Pairs of
+    Each sample runs extract_features with the pitch stage skipped, since
+    pitch is not needed for identification.  A failure on any sample
+    aborts enrollment with an error naming it and the stage.  Pairs of
     templates closer than 1.4% in both dimensions are logged as
     collisions but still accepted.
     """
@@ -157,6 +149,7 @@ def enroll(
     if not samples:
         raise ParameterError("enroll needs at least one sample")
 
+    no_pitch = replace(cfg, min_pitch_len_px=math.inf)
     entries: list[TemplateEntry] = []
     seen: set[str] = set()
     for name, img in samples:
@@ -164,24 +157,17 @@ def enroll(
             raise EnrollmentError(name, "duplicate sample name")
         seen.add(name)
         try:
-            bolt = orient(img)
-            major, minor = measure_axes(bolt)
-            cut = remove_head(bolt, cfg.thresh, d=minor, head_frac=cfg.head_frac)
-            threading = classify_threading(
-                cut.body,
-                minor,
-                perim_ratio=cfg.perim_ratio,
-                fill_frac=cfg.fill_frac,
-            )
-            entries.append(
-                TemplateEntry(
-                    name=name, width_px=minor, height_px=major, threading=threading
-                )
-            )
-        except EnrollmentError:
-            raise
-        except Exception as exc:
+            f = extract_features(img, no_pitch)
+        except StageError as exc:
             raise EnrollmentError(name, str(exc)) from exc
+        entries.append(
+            TemplateEntry(
+                name=name,
+                width_px=f.minor_px,
+                height_px=f.major_px,
+                threading=f.threading,
+            )
+        )
 
     for i, a in enumerate(entries):
         for b in entries[i + 1 :]:

@@ -30,7 +30,6 @@ from .geometry import (
     _mask_rect_px,
     arc_length,
     is_contour_convex,
-    min_area_rect,
     rect_of_mask,
     trace_contour,
     warp_to_upright,
@@ -174,7 +173,7 @@ def orient(component: BinaryImage) -> OrientedBolt:
     landscape and flipped so the heavier half (the head) sits left.  Ties
     keep the current orientation.
     """
-    rect = min_area_rect(trace_contour(component))
+    rect = rect_of_mask(component)
     up = warp_to_upright(component, rect)
     t = math.radians(rect.angle)
     axis_u = (math.cos(t), math.sin(t))

@@ -193,6 +193,7 @@ def test_enroll_names_failing_sample():
         enroll([("ok", render_component("M8x35_HT")), ("broken", blank)])
     assert info.value.sample == "broken"
     assert "broken" in str(info.value)
+    assert "empty-input at orient" in str(info.value)
 
 
 def test_enroll_validates_arguments():
