@@ -41,19 +41,18 @@ from .imagecore import (
     Otsu,
     PixelPoint,
     connected_components,
-    count_white,
     read_pgm,
     threshold,
     write_binary_pgm,
 )
-from .pipeline import BoltFeatures, PipelineConfig, extract_features
+from .pipeline import DEFAULT_PX_PER_MM, BoltFeatures, PipelineConfig, extract_features
 from .synth import RenderParams, load_catalog, render_bolt, standard_catalog
 
 REPORT_SCHEMA = "boltvision-report/1"
-DEFAULT_PX_PER_MM = 12.42
 
 _CONFIG_FIELDS = tuple(f.name for f in dataclasses.fields(PipelineConfig))
-_INT_KEYS = frozenset({"thresh", "nudge", "min_component_area"})
+# annotations are strings under `from __future__ import annotations`
+_INT_KEYS = frozenset(f.name for f in dataclasses.fields(PipelineConfig) if f.type == "int")
 _STAGES = ("orient", "axes", "area", "perimeter", "head", "threading", "pitch")
 
 
@@ -118,14 +117,11 @@ def _load_binary(path: str) -> BinaryImage:
 
 def _bolt_components(img: BinaryImage, cfg: PipelineConfig) -> list[Component]:
     # connected_components is already row-major by bounding-rect origin
-    return [
-        c for c in connected_components(img)
-        if count_white(c.mask) >= cfg.min_component_area
-    ]
+    return [c for c in connected_components(img) if c.area >= cfg.min_component_area]
 
 
 def _largest(comps: list[Component]) -> Component:
-    return max(comps, key=lambda c: count_white(c.mask))
+    return max(comps, key=lambda c: c.area)
 
 
 def _read_manifest(path: str) -> list[dict[str, str]]:
@@ -374,7 +370,7 @@ def cmd_measure(args: argparse.Namespace) -> int:
     img = _load_binary(args.image)
     comps = _bolt_components(img, cfg)
     if comps:
-        idx = max(range(len(comps)), key=lambda i: count_white(comps[i].mask))
+        idx = max(range(len(comps)), key=lambda i: comps[i].area)
         mask, rect = comps[idx].mask, comps[idx].rect
     else:
         # let the pipeline report the canonical empty-input failure

@@ -1,7 +1,8 @@
-"""Contours, hulls, minimum-area rectangles and the upright warp.
+"""Boundary walk, hull, the minimum-area rectangle and the upright warp.
 
-Sub-pixel positions use the corner-space convention from imagecore: pixel
-(x, y) covers [x, x+1) x [y, y+1) and has its center at (x+0.5, y+0.5).
+Point sets are plain (n, 2) numpy arrays of (x, y) rows.  Sub-pixel
+positions use the corner-space convention from imagecore: pixel (x, y)
+covers [x, x+1) x [y, y+1) and has its center at (x+0.5, y+0.5).
 Rectangle sizes are pixel extents: caliper extents over pixel centers plus
 one, so a single pixel measures 1x1 and an axis-aligned w x h block
 measures exactly (w, h).  Polygon orientation is counter-clockwise as
@@ -12,12 +13,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import EmptyInputError, GeometryError
-from .imagecore import BinaryImage, PixelPoint
+from .imagecore import BinaryImage
 
 
 class PointF(NamedTuple):
@@ -25,25 +26,6 @@ class PointF(NamedTuple):
 
     x: float
     y: float
-
-
-@dataclass(frozen=True)
-class Contour:
-    """Closed boundary loop of pixel coordinates.
-
-    Loops produced by trace_contour visit 8-neighboring pixels counter-
-    clockwise starting at the topmost-then-leftmost pixel.  The class does
-    not validate chain adjacency so that arbitrary point sets can be fed
-    to the hull and rectangle operations.
-    """
-
-    points: tuple[PixelPoint, ...]
-
-    def __len__(self) -> int:
-        return len(self.points)
-
-    def __iter__(self):
-        return iter(self.points)
 
 
 @dataclass(frozen=True)
@@ -85,12 +67,14 @@ _MOORE = ((-1, 0), (-1, 1), (0, 1), (1, 1), (1, 0), (1, -1), (0, -1), (-1, -1))
 _BACKTRACK = (6, 6, 0, 0, 2, 2, 4, 4)
 
 
-def trace_contour(img: BinaryImage) -> Contour:
+def trace_contour(img: BinaryImage) -> np.ndarray:
     """Outer boundary of the first white component in row-major order.
 
-    Moore-neighbor following; the walk ends when the opening move out of
-    the start pixel repeats.  Holes are ignored.  A lone pixel yields a
-    length-1 contour.
+    Moore-neighbor following from the topmost-then-leftmost pixel,
+    counter-clockwise; the walk ends when the opening move out of the
+    start pixel repeats.  Returns the visited pixels as an (n, 2) int array
+    of (x, y) in walk order.  Holes are ignored.  A lone pixel yields one
+    row.
     """
     px = img.px
     flat = np.flatnonzero(px.ravel())
@@ -106,7 +90,7 @@ def trace_contour(img: BinaryImage) -> Contour:
     data = pad.tobytes()
     stride = w + 2
 
-    pts: list[PixelPoint] = []
+    pts: list[tuple[int, int]] = []
     cx, cy, prev = sx, sy, 0
     first_k = -1
     cap = 4 * flat.size + 8
@@ -119,12 +103,12 @@ def trace_contour(img: BinaryImage) -> Contour:
                 k = t
                 break
         if k < 0:
-            return Contour((PixelPoint(sx, sy),))
+            return np.array([[sx, sy]])
         if first_k < 0:
             first_k = k
         elif cx == sx and cy == sy and k == first_k:
-            return Contour(tuple(pts))
-        pts.append(PixelPoint(cx, cy))
+            return np.array(pts)
+        pts.append((cx, cy))
         dx, dy = _MOORE[k]
         cx += dx
         cy += dy
@@ -132,41 +116,40 @@ def trace_contour(img: BinaryImage) -> Contour:
     raise GeometryError("contour walk failed to close")
 
 
-def arc_length(c: Contour) -> float:
+def arc_length(c: np.ndarray) -> float:
     """Closed-loop perimeter: unit steps count 1, diagonal steps sqrt(2)."""
-    pts = c.points
-    n = len(pts)
-    if n < 2:
+    pts = c.tolist()
+    if len(pts) < 2:
         return 0.0
     total = 0.0
-    for i in range(n):
-        x1, y1 = pts[i]
-        x2, y2 = pts[(i + 1) % n]
+    for (x1, y1), (x2, y2) in zip(pts, pts[1:] + pts[:1]):
         total += math.hypot(x2 - x1, y2 - y1)
     return total
 
 
-def convex_hull(points: Iterable[tuple[float, float]]) -> list[PointF]:
-    """Convex hull, counter-clockwise on screen, collinear points removed.
+def convex_hull(points: np.ndarray) -> np.ndarray:
+    """Convex hull of (x, y) points as an (m, 2) float array.
 
-    Starts at the lexicographically smallest point.  One distinct point
-    hulls to itself; collinear input hulls to its two extremes.
+    Counter-clockwise on screen, collinear points removed, starting at the
+    lexicographically smallest point.  One distinct point hulls to itself;
+    collinear input hulls to its two extremes.
     """
-    pts = sorted({(float(p[0]), float(p[1])) for p in points})
-    if not pts:
+    uniq = np.unique(np.asarray(points, dtype=np.float64).reshape(-1, 2), axis=0)
+    if len(uniq) == 0:
         raise EmptyInputError("convex_hull of no points")
-    if len(pts) == 1:
-        return [PointF(*pts[0])]
+    if len(uniq) == 1:
+        return uniq
+    pts = uniq.tolist()
 
     def cross(o, a, b):
         return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
 
-    lower: list[tuple[float, float]] = []
+    lower: list[list[float]] = []
     for p in pts:
         while len(lower) >= 2 and cross(lower[-2], lower[-1], p) <= 0:
             lower.pop()
         lower.append(p)
-    upper: list[tuple[float, float]] = []
+    upper: list[list[float]] = []
     for p in reversed(pts):
         while len(upper) >= 2 and cross(upper[-2], upper[-1], p) <= 0:
             upper.pop()
@@ -176,7 +159,7 @@ def convex_hull(points: Iterable[tuple[float, float]]) -> list[PointF]:
         # monotone chain builds the screen-clockwise cycle; flip it while
         # keeping the smallest point in front
         hull = [hull[0]] + hull[:0:-1]
-    return [PointF(x, y) for x, y in hull]
+    return np.array(hull, dtype=np.float64)
 
 
 def _extents(arr: np.ndarray, ux: float, uy: float) -> tuple[float, float]:
@@ -184,54 +167,8 @@ def _extents(arr: np.ndarray, ux: float, uy: float) -> tuple[float, float]:
     return float(proj.min()), float(proj.max())
 
 
-def _rect_of_centers(arr: np.ndarray) -> RotatedRect:
-    """Calipers over pixel-center points (n x 2 array), +1 pixel extents."""
-    hull = convex_hull(arr)
-    harr = np.asarray(hull, dtype=np.float64)
-    # candidate angles: every hull edge, plus 0 so axis-aligned input wins
-    # ties deterministically
-    cands = [0.0]
-    for i in range(len(hull) if len(hull) > 2 else len(hull) - 1):
-        a = hull[i]
-        b = hull[(i + 1) % len(hull)]
-        cands.append(math.atan2(b.y - a.y, b.x - a.x))
-    best_area = math.inf
-    best_t = 0.0
-    for t in cands:
-        c, s = math.cos(t), math.sin(t)
-        lo1, hi1 = _extents(harr, c, s)
-        lo2, hi2 = _extents(harr, -s, c)
-        area = (hi1 - lo1 + 1.0) * (hi2 - lo2 + 1.0)
-        if area < best_area - 1e-12:
-            best_area = area
-            best_t = t
-    angle = math.degrees(best_t) % 90.0 - 90.0
-    t = math.radians(angle)
-    wx, wy = math.cos(t), math.sin(t)
-    lo_w, hi_w = _extents(harr, wx, wy)
-    lo_h, hi_h = _extents(harr, -wy, wx)
-    mw = (lo_w + hi_w) / 2.0
-    mh = (lo_h + hi_h) / 2.0
-    center = PointF(mw * wx + mh * -wy, mw * wy + mh * wx)
-    return RotatedRect(center, hi_w - lo_w + 1.0, hi_h - lo_h + 1.0, angle)
-
-
-def min_area_rect(c: Contour) -> RotatedRect:
-    """Minimum-area enclosing rectangle of a contour's pixels.
-
-    Rotating calipers on the convex hull of the pixel centers; extents are
-    dilated by 1 so the result reads as a pixel count.  One edge is flush
-    with a hull edge, the angle lands in [-90, 0), and ties prefer the
-    axis-aligned candidate.
-    """
-    if not c.points:
-        raise EmptyInputError("min_area_rect of an empty contour")
-    arr = np.asarray(c.points, dtype=np.float64) + 0.5
-    return _rect_of_centers(arr)
-
-
 def _mask_rect_px(px: np.ndarray) -> RotatedRect | None:
-    """Caliper rect of a bool array via per-row extremes; None when blank."""
+    """rect_of_mask on a bool array; None when it is blank."""
     rows = np.flatnonzero(px.any(axis=1))
     if rows.size == 0:
         return None
@@ -240,14 +177,41 @@ def _mask_rect_px(px: np.ndarray) -> RotatedRect | None:
     right = px.shape[1] - 1 - np.argmax(sub[:, ::-1], axis=1)
     ys = np.concatenate([rows, rows]).astype(np.float64) + 0.5
     xs = np.concatenate([left, right]).astype(np.float64) + 0.5
-    return _rect_of_centers(np.column_stack([xs, ys]))
+    hull = convex_hull(np.column_stack([xs, ys]))
+    # candidate angles: every hull edge (a 2-point hull has one), plus 0 so
+    # axis-aligned input wins ties deterministically
+    m = len(hull)
+    edges = (np.roll(hull, -1, axis=0) - hull)[: m if m > 2 else m - 1]
+    cands = [0.0] + [math.atan2(dy, dx) for dx, dy in edges.tolist()]
+    best_area = math.inf
+    best_t = 0.0
+    for t in cands:
+        c, s = math.cos(t), math.sin(t)
+        lo1, hi1 = _extents(hull, c, s)
+        lo2, hi2 = _extents(hull, -s, c)
+        area = (hi1 - lo1 + 1.0) * (hi2 - lo2 + 1.0)
+        if area < best_area - 1e-12:
+            best_area = area
+            best_t = t
+    angle = math.degrees(best_t) % 90.0 - 90.0
+    t = math.radians(angle)
+    wx, wy = math.cos(t), math.sin(t)
+    lo_w, hi_w = _extents(hull, wx, wy)
+    lo_h, hi_h = _extents(hull, -wy, wx)
+    mw = (lo_w + hi_w) / 2.0
+    mh = (lo_h + hi_h) / 2.0
+    center = PointF(mw * wx + mh * -wy, mw * wy + mh * wx)
+    return RotatedRect(center, hi_w - lo_w + 1.0, hi_h - lo_h + 1.0, angle)
 
 
 def rect_of_mask(img: BinaryImage) -> RotatedRect:
-    """min_area_rect without the contour walk.
+    """Minimum-area enclosing rectangle of an image's white pixels.
 
-    Uses the per-row extreme pixels, whose hull equals the full component
-    hull; cheaper when a rectangle is probed repeatedly.
+    Rotating calipers on the convex hull of the pixel centers, taken from
+    each row's leftmost and rightmost white pixel, which hull the same as
+    the whole pixel set; extents are dilated by 1 so the result reads as a
+    pixel count.  One edge is flush with a hull edge, the angle lands in
+    [-90, 0), and ties prefer the axis-aligned candidate.
     """
     rect = _mask_rect_px(img.px)
     if rect is None:
@@ -255,25 +219,19 @@ def rect_of_mask(img: BinaryImage) -> RotatedRect:
     return rect
 
 
-def is_contour_convex(c: Contour, tol: float = 1.5) -> bool:
-    """True when no point dents deeper than tol inside the contour's hull.
+def is_contour_convex(c: np.ndarray, tol: float = 1.5) -> bool:
+    """True when no point of c dents deeper than tol inside its hull.
 
     Pixelation puts genuine corners a fraction of a pixel off the hull, so
     the default tolerance accepts deviations up to 1.5 px.  Fewer than 3
     distinct points count as convex.
     """
-    pts = np.unique(np.asarray(c.points, dtype=np.float64), axis=0)
-    if pts.shape[0] < 3:
-        return True
+    pts = np.asarray(c, dtype=np.float64)
     hull = convex_hull(pts)
     if len(hull) < 3:
         return True
-    harr = np.asarray(hull, dtype=np.float64)
     best = np.full(pts.shape[0], np.inf)
-    m = len(hull)
-    for i in range(m):
-        a = harr[i]
-        b = harr[(i + 1) % m]
+    for a, b in zip(hull, np.roll(hull, -1, axis=0)):
         ab = b - a
         denom = float(ab @ ab)
         t = ((pts - a) @ ab) / denom

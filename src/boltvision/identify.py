@@ -17,7 +17,13 @@ from typing import Sequence
 
 from .errors import CsvFormatError, EnrollmentError, ParameterError, StageError
 from .imagecore import BinaryImage
-from .pipeline import BoltFeatures, PipelineConfig, ThreadingType, extract_features
+from .pipeline import (
+    DEFAULT_PX_PER_MM,
+    BoltFeatures,
+    PipelineConfig,
+    ThreadingType,
+    extract_features,
+)
 
 log = logging.getLogger(__name__)
 
@@ -132,7 +138,7 @@ def enroll(
     samples: Sequence[tuple[str, BinaryImage]],
     cfg: PipelineConfig | None = None,
     *,
-    px_per_mm: float = 12.42,
+    px_per_mm: float = DEFAULT_PX_PER_MM,
 ) -> LookupTable:
     """Measure one image per name and build a lookup table.
 
@@ -199,8 +205,8 @@ def load_table(data: bytes) -> LookupTable:
     """Parse the CSV produced by save_table.
 
     The leading ``# px_per_mm=<value>`` comment is optional; without it
-    the factor defaults to 12.42.  Errors carry the 1-based line number
-    of the offending line.
+    the factor defaults to DEFAULT_PX_PER_MM.  Errors carry the 1-based
+    line number of the offending line.
     """
     try:
         text = data.decode("utf-8")
@@ -212,7 +218,7 @@ def load_table(data: bytes) -> LookupTable:
         lines.pop()
 
     lineno = 1
-    px_per_mm = 12.42
+    px_per_mm = DEFAULT_PX_PER_MM
     if lines and lines[0].startswith("#"):
         body = lines[0][1:].strip()
         if not body.startswith("px_per_mm="):

@@ -98,10 +98,12 @@ class BinaryImage:
 
 
 class Component(NamedTuple):
-    """One connected component: its mask, cropped to the bounding rect."""
+    """One connected component: its mask, cropped to the bounding rect, and
+    its white pixel count."""
 
     mask: BinaryImage
     rect: AxisRect
+    area: int
 
 
 def count_white(img: BinaryImage, region: AxisRect | None = None) -> int:
@@ -186,7 +188,8 @@ def connected_components(img: BinaryImage) -> list[Component]:
     """Label 8-connected foreground regions.
 
     Returns one Component per region, each mask cropped to its bounding
-    rect, ordered row-major by the rect's top-left corner.
+    rect and its area summed from its runs, ordered row-major by the rect's
+    top-left corner.
     """
     rows_a, starts_a, ends_a = _white_runs(img.px)
     n = rows_a.size
@@ -223,9 +226,12 @@ def connected_components(img: BinaryImage) -> list[Component]:
         x0 = min(starts[k] for k in idxs)
         x1 = max(ends[k] for k in idxs)
         mask = np.zeros((y1 - y0 + 1, x1 - x0 + 1), dtype=bool)
+        area = 0
         for k in idxs:
             mask[rows[k] - y0, starts[k] - x0 : ends[k] - x0 + 1] = True
-        comps.append(Component(BinaryImage(mask), AxisRect(x0, y0, x1 - x0 + 1, y1 - y0 + 1)))
+            area += ends[k] - starts[k] + 1
+        rect = AxisRect(x0, y0, x1 - x0 + 1, y1 - y0 + 1)
+        comps.append(Component(BinaryImage(mask), rect, area))
     comps.sort(key=lambda c: (c.rect.y, c.rect.x))
     return comps
 

@@ -37,6 +37,10 @@ from .geometry import (
 from .imagecore import AxisRect, BinaryImage, count_white, crop, rotate180
 
 
+# scale of the reference setup: the default wherever pixels meet millimetres
+DEFAULT_PX_PER_MM = 12.42
+
+
 class ThreadingType(enum.Enum):
     """Fully threaded shank (FT) or half threaded with a plain barrel (HT)."""
 
@@ -220,8 +224,7 @@ def measure_axes(bolt: OrientedBolt) -> tuple[float, float]:
         raise MalformedBoltError("tip half of the bolt is empty")
     tip = np.zeros(bolt.src.px.shape, dtype=bool)
     tip[ys[keep], xs[keep]] = True
-    rect = _mask_rect_px(tip)
-    return major, min(rect.size_w, rect.size_h)
+    return major, _cross_width(tip)
 
 
 def _cross_width(px: np.ndarray) -> float:

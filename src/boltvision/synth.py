@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import CsvFormatError, GeometryError, ParameterError
 from .imagecore import AxisRect, BinaryImage, PixelPoint
-from .pipeline import ThreadingType
+from .pipeline import DEFAULT_PX_PER_MM, ThreadingType
 
 # fraction of each pitch spent at full crest width
 _CREST_FLAT = 0.125
@@ -89,7 +89,7 @@ class RenderParams:
     canvas_h: int
     center: PixelPoint
     angle_deg: float = 0.0
-    px_per_mm: float = 12.42
+    px_per_mm: float = DEFAULT_PX_PER_MM
     noise: float = 0.0
     seed: int = 0
 

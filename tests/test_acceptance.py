@@ -15,7 +15,7 @@ import pytest
 
 from boltvision.cli import main, report_from_json, report_to_json
 from boltvision.errors import PitchParityError
-from boltvision.geometry import Contour, min_area_rect
+from boltvision.geometry import rect_of_mask
 from boltvision.identify import (
     LookupTable,
     TemplateEntry,
@@ -240,8 +240,9 @@ def test_c6_calipers_vs_sweep(capsys):
     for _ in range(100):
         n = int(rng.integers(3, 51))
         pts = rng.integers(0, 200, size=(n, 2))
-        contour = Contour(tuple(PixelPoint(int(x), int(y)) for x, y in pts))
-        cal = min_area_rect(contour).area
+        px = np.zeros((200, 200), bool)
+        px[pts[:, 1], pts[:, 0]] = True
+        cal = rect_of_mask(BinaryImage(px)).area
         ref = _sweep_rect_area(pts)
         assert cal <= ref + 1e-6  # the sweep can only overshoot the optimum
         worst = max(worst, (ref - cal) / ref)

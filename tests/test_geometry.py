@@ -10,13 +10,10 @@ from hypothesis.extra.numpy import arrays
 
 from boltvision.errors import EmptyInputError, GeometryError
 from boltvision.geometry import (
-    Contour,
-    PointF,
     RotatedRect,
     arc_length,
     convex_hull,
     is_contour_convex,
-    min_area_rect,
     rect_of_mask,
     trace_contour,
     warp_to_upright,
@@ -36,8 +33,20 @@ point_clouds = st.lists(
 )
 
 
-def as_contour(pts) -> Contour:
-    return Contour(tuple(PixelPoint(int(x), int(y)) for x, y in pts))
+def as_points(pts) -> np.ndarray:
+    return np.asarray(pts, dtype=np.int64).reshape(-1, 2)
+
+
+def mask_of(pts) -> BinaryImage:
+    """Image whose white pixels are exactly the given (x, y) points."""
+    arr = as_points(pts)
+    px = np.zeros((arr[:, 1].max() + 1, arr[:, 0].max() + 1), bool)
+    px[arr[:, 1], arr[:, 0]] = True
+    return BinaryImage(px)
+
+
+def hull_tuples(pts) -> list[tuple[float, float]]:
+    return [tuple(p) for p in convex_hull(pts).tolist()]
 
 
 def solid(w: int, h: int) -> BinaryImage:
@@ -79,13 +88,14 @@ def contains_point(r: RotatedRect, x: float, y: float, slack: float = 0.5) -> bo
 
 def test_trace_single_pixel():
     contour = trace_contour(one_pixel(5, 5, 2, 3))
-    assert list(contour) == [(2, 3)]
+    assert contour.tolist() == [[2, 3]]
 
 
 def test_trace_3x3_block_order():
     # counter-clockwise on a y-down screen, starting topmost-then-leftmost
     contour = trace_contour(solid(3, 3))
-    assert list(contour) == [(0, 0), (0, 1), (0, 2), (1, 2), (2, 2), (2, 1), (2, 0), (1, 0)]
+    assert contour.shape == (8, 2)
+    assert contour.tolist() == [[0, 0], [0, 1], [0, 2], [1, 2], [2, 2], [2, 1], [2, 0], [1, 0]]
 
 
 def test_trace_empty_raises():
@@ -99,7 +109,7 @@ def test_trace_boundary_predicate_on_render():
     spec = next(s for s in standard_catalog() if s.name == "M8x35_HT")
     img, _ = render_bolt(spec, RenderParams(500, 500, PixelPoint(250, 250), angle_deg=25.0))
     px = img.px
-    for x, y in trace_contour(img):
+    for x, y in trace_contour(img).tolist():
         assert px[y, x]
         on_border = x in (0, img.width - 1) or y in (0, img.height - 1)
         has_black_4n = (
@@ -116,7 +126,7 @@ def test_trace_is_closed_8_chain(img):
     comps = connected_components(img)
     if not comps:
         return
-    pts = list(trace_contour(comps[0].mask))
+    pts = trace_contour(comps[0].mask).tolist()
     n = len(pts)
     for i in range(n):
         (x0, y0), (x1, y1) = pts[i], pts[(i + 1) % n]
@@ -128,7 +138,7 @@ def test_trace_is_closed_8_chain(img):
 # -- arc length --------------------------------------------------------------
 
 def test_arc_single_point():
-    assert arc_length(as_contour([(3, 3)])) == 0.0
+    assert arc_length(as_points([(3, 3)])) == 0.0
 
 
 def test_arc_3x3_block():
@@ -153,13 +163,13 @@ def test_arc_scales_with_render_factor():
 
 def test_hull_square_plus_center():
     pts = [(0.0, 0.0), (4.0, 0.0), (4.0, 4.0), (0.0, 4.0), (2.0, 2.0)]
-    hull = convex_hull(pts)
-    assert len(hull) == 4
+    assert convex_hull(pts).shape == (4, 2)
+    hull = hull_tuples(pts)
     assert set(hull) == set(pts[:4])
 
 
 def test_hull_collinear():
-    hull = convex_hull([(0.0, 0.0), (1.0, 1.0), (2.0, 2.0), (3.0, 3.0)])
+    hull = hull_tuples([(0.0, 0.0), (1.0, 1.0), (2.0, 2.0), (3.0, 3.0)])
     assert sorted(hull) == [(0.0, 0.0), (3.0, 3.0)]
 
 
@@ -189,28 +199,28 @@ def _inside_hull(hull: list[tuple[float, float]], p: tuple[float, float]) -> boo
 def test_hull_contains_all_inputs():
     rng = np.random.default_rng(7)
     pts = [(float(x), float(y)) for x, y in rng.uniform(0, 100, size=(200, 2))]
-    hull = convex_hull(pts)
+    hull = hull_tuples(pts)
     assert all(_inside_hull(hull, p) for p in pts)
 
 
 @given(point_clouds)
 def test_hull_contains_inputs_property(cloud):
     pts = [(float(x), float(y)) for x, y in cloud]
-    hull = convex_hull(pts)
+    hull = hull_tuples(pts)
     assert all(_inside_hull(hull, p) for p in pts)
 
 
 # -- min-area rect -----------------------------------------------------------
 
 def test_rect_of_axis_aligned_block():
-    r = min_area_rect(trace_contour(solid(20, 10)))
+    r = rect_of_mask(solid(20, 10))
     assert r.angle == -90.0
     assert (r.size_w, r.size_h) == pytest.approx((10.0, 20.0))
     assert r.center == pytest.approx((10.0, 5.0))
 
 
 def test_rect_of_single_pixel():
-    r = min_area_rect(trace_contour(one_pixel(4, 4, 1, 2)))
+    r = rect_of_mask(one_pixel(4, 4, 1, 2))
     assert (r.size_w, r.size_h) == pytest.approx((1.0, 1.0))
     assert r.center == pytest.approx((1.5, 2.5))
 
@@ -220,7 +230,7 @@ def test_rect_against_sweep_oracle():
     for _ in range(20):
         pts = [tuple(map(int, p)) for p in rng.integers(0, 80, size=(30, 2))]
         pts = sorted(set(pts))
-        r = min_area_rect(as_contour(pts))
+        r = rect_of_mask(mask_of(pts))
         assert r.size_w * r.size_h <= sweep_min_area(pts) * 1.005
 
 
@@ -228,7 +238,7 @@ def test_rect_corners_reproduce_geometry():
     rng = np.random.default_rng(3)
     for _ in range(20):
         pts = sorted({tuple(map(int, p)) for p in rng.integers(0, 60, size=(12, 2))})
-        r = min_area_rect(as_contour(pts))
+        r = rect_of_mask(mask_of(pts))
         corners = r.corners()
         assert len(corners) == 4
         cx = sum(p[0] for p in corners) / 4
@@ -243,7 +253,7 @@ def test_rect_corners_reproduce_geometry():
 @given(point_clouds)
 @settings(max_examples=60)
 def test_rect_encloses_and_angle_in_range(cloud):
-    r = min_area_rect(as_contour(cloud))
+    r = rect_of_mask(mask_of(cloud))
     assert -90.0 <= r.angle < 0.0
     for x, y in cloud:
         assert contains_point(r, x + 0.5, y + 0.5)
@@ -255,7 +265,7 @@ def test_rect_area_at_most_axis_aligned(cloud):
     xs = [p[0] for p in cloud]
     ys = [p[1] for p in cloud]
     aabb = (max(xs) - min(xs) + 1.0) * (max(ys) - min(ys) + 1.0)
-    r = min_area_rect(as_contour(cloud))
+    r = rect_of_mask(mask_of(cloud))
     assert r.size_w * r.size_h <= aabb + 1e-9
 
 
@@ -266,17 +276,6 @@ def test_rect_area_invariant_under_90_rotation():
     a = rect_of_mask(BinaryImage(px))
     b = rect_of_mask(BinaryImage(np.rot90(px)))
     assert a.size_w * a.size_h == pytest.approx(b.size_w * b.size_h, rel=0.01)
-
-
-@given(binary_images)
-@settings(max_examples=50)
-def test_rect_of_mask_matches_contour_route(img):
-    comps = connected_components(img)
-    if len(comps) != 1:
-        return
-    mask = comps[0].mask
-    # orient relies on this identity to skip the contour walk
-    assert rect_of_mask(mask) == min_area_rect(trace_contour(mask))
 
 
 def test_rect_of_mask_empty():
@@ -298,8 +297,8 @@ def test_concave_plus_sign():
 
 
 def test_degenerate_contours_are_convex():
-    assert is_contour_convex(as_contour([(2, 2)]))
-    assert is_contour_convex(as_contour([(2, 2), (3, 2)]))
+    assert is_contour_convex(as_points([(2, 2)]))
+    assert is_contour_convex(as_points([(2, 2), (3, 2)]))
 
 
 def test_half_thread_left_body_convex_full_thread_not():

@@ -197,7 +197,8 @@ def test_components_partition_white_set(img):
         sub[c.rect.y : c.rect.y + c.rect.h, c.rect.x : c.rect.x + c.rect.w] = c.mask.px
         assert not np.any(union & sub), "masks overlap"
         union |= sub
-        total += count_white(c.mask)
+        assert c.area == count_white(c.mask)
+        total += c.area
     assert np.array_equal(union, img.px)
     assert total == count_white(img)
 

@@ -15,6 +15,7 @@ from boltvision.errors import (
 )
 from boltvision.imagecore import BinaryImage, PixelPoint, connected_components, count_white
 from boltvision.pipeline import (
+    BoltFeatures,
     PipelineConfig,
     PitchTrace,
     ThreadingType,
@@ -278,6 +279,45 @@ def test_extract_area_and_perimeter():
     f = extract_features(mask)
     assert f.area_px == truth.white_count
     assert f.perimeter_px > 2.0 * f.major_px  # loop at least spans the part twice
+
+
+FT, HT = ThreadingType.FULL, ThreadingType.HALF
+
+# (spec, angle, noise) -> features; seed 5 for every render
+PINNED_FEATURES = {
+    ("M4x75_FT", 30.0, 0.0): BoltFeatures(
+        933.0, 50.540704744423294, FT, 8.689655172413794, 41394, 4248.395595453447),
+    ("M12x75_HT", 0.0, 0.0): BoltFeatures(
+        932.0, 150.00000000000003, HT, 21.75, 142290, 2812.1261171702936),
+    ("M5x12_FT", 45.0, 0.0): BoltFeatures(
+        149.0, 61.811183182043095, FT, None, 9362, 752.3229432149774),
+    ("M8x35_HT", 120.0, 0.0): BoltFeatures(
+        436.0, 100.34404393698819, HT, 15.5, 45592, 1693.336362013079),
+    ("M4x75_FT", 200.0, 0.002): BoltFeatures(
+        933.0, 50.60273925227433, FT, 8.689655172413794, 41379, 4242.187442651744),
+    ("M12x75_HT", 75.0, 0.002): BoltFeatures(
+        932.0, 150.02944089236303, HT, 21.7, 141544, 3130.931383166614),
+    ("M6x16_FT", 300.0, 0.002): BoltFeatures(
+        200.0, 75.47220930324428, FT, None, 15504, 981.3250352560316),
+    ("M10x50_HT", 250.0, 0.002): BoltFeatures(
+        622.0, 125.16907440910404, HT, 18.571428571428573, 80611, 2257.603389317817),
+}
+
+
+def test_features_pinned_on_fixed_renders():
+    # exact values, so any change to the measurement chain's output shows
+    # here; a deliberate change updates this table
+    got = {}
+    for name, angle, noise in PINNED_FEATURES:
+        spec = spec_named(name)
+        side = math.ceil(math.hypot(spec.length_mm * PPM, spec.head_width_mm * PPM)) + 10
+        img, _ = render_bolt(spec, RenderParams(
+            side, side, PixelPoint(side // 2, side // 2),
+            angle_deg=angle, px_per_mm=PPM, noise=noise, seed=5,
+        ))
+        comp = max(connected_components(img), key=lambda c: count_white(c.mask))
+        got[name, angle, noise] = extract_features(comp.mask)
+    assert got == PINNED_FEATURES
 
 
 def test_body_area_below_full_area():
