@@ -1,12 +1,14 @@
-"""Boundary walk, hull, the minimum-area rectangle and the upright warp.
+"""Column profile, hull, the minimum-area rectangle and the upright warp.
 
-Point sets are plain (n, 2) numpy arrays of (x, y) rows.  Sub-pixel
-positions use the corner-space convention from imagecore: pixel (x, y)
-covers [x, x+1) x [y, y+1) and has its center at (x+0.5, y+0.5).
-Rectangle sizes are pixel extents: caliper extents over pixel centers plus
-one, so a single pixel measures 1x1 and an axis-aligned w x h block
-measures exactly (w, h).  Polygon orientation is counter-clockwise as
-drawn on screen (y down).
+A column profile lists, for each column of a binary image that holds
+white, its topmost and bottommost white row; it stands in for the
+boundary of an upright part.  Point sets are plain (n, 2) numpy arrays
+of (x, y) rows.  Sub-pixel positions use the corner-space convention
+from imagecore: pixel (x, y) covers [x, x+1) x [y, y+1) and has its
+center at (x+0.5, y+0.5).  Rectangle sizes are pixel extents: caliper
+extents over pixel centers plus one, so a single pixel measures 1x1 and
+an axis-aligned w x h block measures exactly (w, h).  Polygon
+orientation is counter-clockwise as drawn on screen (y down).
 """
 
 from __future__ import annotations
@@ -60,71 +62,27 @@ class RotatedRect:
         return [c0, c1, c2, c3]
 
 
-# Moore neighborhood, counter-clockwise on screen, starting west.  After a
-# move along direction k the next scan resumes from _BACKTRACK[k], which
-# points at the last background pixel examined before the move.
-_MOORE = ((-1, 0), (-1, 1), (0, 1), (1, 1), (1, 0), (1, -1), (0, -1), (-1, -1))
-_BACKTRACK = (6, 6, 0, 0, 2, 2, 4, 4)
-
-
-def trace_contour(img: BinaryImage) -> np.ndarray:
-    """Outer boundary of the first white component in row-major order.
-
-    Moore-neighbor following from the topmost-then-leftmost pixel,
-    counter-clockwise; the walk ends when the opening move out of the
-    start pixel repeats.  Returns the visited pixels as an (n, 2) int array
-    of (x, y) in walk order.  Holes are ignored.  A lone pixel yields one
-    row.
-    """
+def column_profile(img: BinaryImage) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(cols, top, bot): the columns that hold white, left to right, and
+    each one's topmost and bottommost white row, as int arrays."""
     px = img.px
-    flat = np.flatnonzero(px.ravel())
-    if flat.size == 0:
-        raise EmptyInputError("no white pixels to trace")
-    h, w = px.shape
-    sy, sx = divmod(int(flat[0]), w)
-
-    # 1-px black border lets neighbor checks skip bounds tests; a bytes
-    # object is much faster to index from Python than the ndarray.
-    pad = np.zeros((h + 2, w + 2), dtype=np.uint8)
-    pad[1:-1, 1:-1] = px
-    data = pad.tobytes()
-    stride = w + 2
-
-    pts: list[tuple[int, int]] = []
-    cx, cy, prev = sx, sy, 0
-    first_k = -1
-    cap = 4 * flat.size + 8
-    for _ in range(cap):
-        k = -1
-        for s in range(1, 9):
-            t = (prev + s) & 7
-            dx, dy = _MOORE[t]
-            if data[(cy + dy + 1) * stride + (cx + dx + 1)]:
-                k = t
-                break
-        if k < 0:
-            return np.array([[sx, sy]])
-        if first_k < 0:
-            first_k = k
-        elif cx == sx and cy == sy and k == first_k:
-            return np.array(pts)
-        pts.append((cx, cy))
-        dx, dy = _MOORE[k]
-        cx += dx
-        cy += dy
-        prev = _BACKTRACK[k]
-    raise GeometryError("contour walk failed to close")
+    cols = np.flatnonzero(px.any(axis=0))
+    top = np.argmax(px, axis=0)[cols]
+    bot = px.shape[0] - 1 - np.argmax(px[::-1], axis=0)[cols]
+    return cols, top, bot
 
 
-def arc_length(c: np.ndarray) -> float:
-    """Closed-loop perimeter: unit steps count 1, diagonal steps sqrt(2)."""
-    pts = c.tolist()
-    if len(pts) < 2:
+def loop_length(top: np.ndarray, bot: np.ndarray) -> float:
+    """Length of the loop round a column profile, counted as a Moore walk
+    counts a boundary: along the top and along the bottom, a step to the
+    next column costs 1 when flat and sqrt(2) + |dy| - 1 otherwise, and the
+    two end columns add their heights.  A lone pixel measures 0.
+    """
+    if len(top) == 0:
         return 0.0
-    total = 0.0
-    for (x1, y1), (x2, y2) in zip(pts, pts[1:] + pts[:1]):
-        total += math.hypot(x2 - x1, y2 - y1)
-    return total
+    dy = np.abs(np.concatenate([np.diff(top), np.diff(bot)]))
+    steps = np.where(dy == 0, 1.0, math.sqrt(2.0) + dy - 1.0)
+    return float(steps.sum() + (bot[0] - top[0]) + (bot[-1] - top[-1]))
 
 
 def convex_hull(points: np.ndarray) -> np.ndarray:

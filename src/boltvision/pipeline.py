@@ -18,7 +18,6 @@ import numpy as np
 
 from .errors import (
     BoltVisionError,
-    EmptyInputError,
     InsufficientCrestsError,
     InsufficientDataError,
     MalformedBoltError,
@@ -28,10 +27,10 @@ from .errors import (
 )
 from .geometry import (
     _mask_rect_px,
-    arc_length,
+    column_profile,
     is_contour_convex,
+    loop_length,
     rect_of_mask,
-    trace_contour,
     warp_to_upright,
 )
 from .imagecore import AxisRect, BinaryImage, count_white, crop, rotate180
@@ -101,14 +100,17 @@ class OrientedBolt:
     """Upright landscape silhouette with the head on the left.
 
     img is the warped silhouette; major_px is its width and head_w_px its
-    height.  src, axis_u and axis_c keep the source frame and the source
-    direction of this image's +x axis so measurements can also be taken
-    before resampling.
+    height.  profile is img's column profile (cols, top, bot), which the
+    perimeter, the shoulder search and the threading test read.  src,
+    axis_u and axis_c keep the source frame and the source direction of
+    this image's +x axis so measurements can also be taken before
+    resampling.
     """
 
     img: BinaryImage
     major_px: int
     head_w_px: int
+    profile: tuple[np.ndarray, np.ndarray, np.ndarray]
     src: BinaryImage
     axis_u: tuple[float, float]
     axis_c: float
@@ -156,7 +158,14 @@ class PitchTrace:
 
 @dataclass(frozen=True)
 class BoltFeatures:
-    """Everything the matcher consumes, in pixels."""
+    """Everything the matcher consumes, in pixels.
+
+    major_px and minor_px are the length and the shank diameter, area_px
+    the white pixel count of the upright silhouette.  perimeter_px is the
+    length of the loop round its column profile (see
+    geometry.loop_length): holes, and notches that open sideways rather
+    than up or down, are not counted.
+    """
 
     major_px: float
     minor_px: float
@@ -197,6 +206,7 @@ def orient(component: BinaryImage) -> OrientedBolt:
         img=up,
         major_px=up.width,
         head_w_px=up.height,
+        profile=column_profile(up),
         src=component,
         axis_u=axis_u,
         axis_c=cx * axis_u[0] + cy * axis_u[1],
@@ -224,15 +234,8 @@ def measure_axes(bolt: OrientedBolt) -> tuple[float, float]:
         raise MalformedBoltError("tip half of the bolt is empty")
     tip = np.zeros(bolt.src.px.shape, dtype=bool)
     tip[ys[keep], xs[keep]] = True
-    return major, _cross_width(tip)
-
-
-def _cross_width(px: np.ndarray) -> float:
-    """Short side of the min-area rect of a mask slice; 0 when blank."""
-    rect = _mask_rect_px(px)
-    if rect is None:
-        return 0.0
-    return min(rect.size_w, rect.size_h)
+    rect = _mask_rect_px(tip)
+    return major, min(rect.size_w, rect.size_h)
 
 
 def remove_head(
@@ -244,11 +247,12 @@ def remove_head(
 ) -> HeadCut:
     """Find the head/body shoulder and cut thresh columns past it.
 
-    A column c counts as body when the cross width of the image right of c
-    is closer to the shank diameter d than to the head width; the first
-    such column is located by bisection over [0, head_frac * length].  A
-    headless silhouette (or a search that never sees the transition) cuts
-    at thresh and sets no_shoulder.
+    A column c counts as body when the cross width of the image right of c,
+    the span from the profile's highest top to its lowest bottom there, is
+    closer to the shank diameter d than to the head width; the cut is the
+    first such column in [0, head_frac * length].  A headless silhouette
+    (or a search that never sees the transition) cuts at thresh and sets
+    no_shoulder.
     """
     if thresh < 0:
         raise ParameterError(f"thresh must be >= 0, got {thresh}")
@@ -258,24 +262,15 @@ def remove_head(
     l = img.width
     w = float(bolt.head_w_px)
     bound = min(int(head_frac * l), l - 1)
-
-    def body_at(c: int) -> bool:
-        wp = _cross_width(img.px[:, c:])
-        return abs(wp - d) < abs(wp - w)
-
-    no_shoulder = False
-    if body_at(0) or not body_at(bound):
-        h_star = 0
-        no_shoulder = True
-    else:
-        lo, hi = 0, bound
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if body_at(mid):
-                hi = mid
-            else:
-                lo = mid
-        h_star = hi
+    cols, top, bot = bolt.profile
+    lo = np.minimum.accumulate(top[::-1])[::-1]
+    hi = np.maximum.accumulate(bot[::-1])[::-1]
+    # right of column c lies the suffix from the first white column >= c;
+    # past the last one the width is 0
+    wp = np.append(hi - lo + 1, 0)[np.searchsorted(cols, np.arange(bound + 1))]
+    is_body = np.abs(wp - d) < np.abs(wp - w)
+    no_shoulder = bool(is_body[0]) or not bool(is_body[-1])
+    h_star = 0 if no_shoulder else int(np.argmax(is_body))
     h = h_star + thresh
     if h >= l:
         raise MalformedBoltError(f"cut at {h} leaves no body (length {l})")
@@ -294,30 +289,30 @@ def classify_threading(
 ) -> ThreadingType:
     """Classify a headless body as fully or half threaded.
 
-    Half threading fires on any of three signs read off the two halves of
-    the body (threads grow toward the tip, so a plain barrel occupies the
-    left half): a convex left contour, a right perimeter more than
-    perim_ratio times the left one, or a left half filling at least
-    fill_frac of its d x length box.
+    Half threading fires on any of three signs read off the column profile
+    of the two halves of the body (threads grow toward the tip, so a plain
+    barrel occupies the left half): left top and bottom points that dent
+    no deeper than tol inside their hull, a right profile loop more than
+    perim_ratio times as long as the left one, or a left half filling at
+    least fill_frac of its d x length box.
     """
     wdt = body.width
     if wdt < 4:
         raise InsufficientDataError(f"body too narrow to classify ({wdt} px)")
     mid = wdt // 2
-    left = crop(body, AxisRect(0, 0, mid, body.height))
-    right = crop(body, AxisRect(mid, 0, wdt - mid, body.height))
-    try:
-        lc = trace_contour(left)
-        rc = trace_contour(right)
-    except EmptyInputError as exc:
-        raise InsufficientDataError(f"half of the body is blank: {exc}") from exc
-    if is_contour_convex(lc, tol):
+    cols, top, bot = column_profile(body)
+    left = cols < mid
+    if left.all() or not left.any():
+        raise InsufficientDataError("half of the body is blank")
+    lx = cols[left]
+    edge = np.column_stack([np.r_[lx, lx], np.r_[top[left], bot[left]]])
+    if is_contour_convex(edge, tol):
         return ThreadingType.HALF
-    pl = arc_length(lc)
-    pr = arc_length(rc)
+    pl = loop_length(top[left], bot[left])
+    pr = loop_length(top[~left], bot[~left])
     if pr > perim_ratio * pl:
         return ThreadingType.HALF
-    if count_white(left) >= fill_frac * d * mid:
+    if count_white(body, AxisRect(0, 0, mid, body.height)) >= fill_frac * d * mid:
         return ThreadingType.HALF
     return ThreadingType.FULL
 
@@ -399,7 +394,7 @@ def extract_features(
     bolt = run("orient", lambda: orient(component))
     major, minor = run("axes", lambda: measure_axes(bolt))
     area = run("area", lambda: count_white(bolt.img))
-    perimeter = run("perimeter", lambda: arc_length(trace_contour(bolt.img)))
+    perimeter = run("perimeter", lambda: loop_length(*bolt.profile[1:]))
     cut = run(
         "head",
         lambda: remove_head(bolt, cfg.thresh, d=minor, head_frac=cfg.head_frac),

@@ -11,11 +11,11 @@ from hypothesis.extra.numpy import arrays
 from boltvision.errors import EmptyInputError, GeometryError
 from boltvision.geometry import (
     RotatedRect,
-    arc_length,
+    column_profile,
     convex_hull,
     is_contour_convex,
+    loop_length,
     rect_of_mask,
-    trace_contour,
     warp_to_upright,
 )
 from boltvision.imagecore import (
@@ -43,6 +43,17 @@ def mask_of(pts) -> BinaryImage:
     px = np.zeros((arr[:, 1].max() + 1, arr[:, 0].max() + 1), bool)
     px[arr[:, 1], arr[:, 0]] = True
     return BinaryImage(px)
+
+
+def profile_points(img: BinaryImage) -> np.ndarray:
+    """Top and bottom points of an image's column profile as (x, y) rows."""
+    cols, top, bot = column_profile(img)
+    return np.column_stack([np.concatenate([cols, cols]), np.concatenate([top, bot])])
+
+
+def profile_loop(img: BinaryImage) -> float:
+    _, top, bot = column_profile(img)
+    return loop_length(top, bot)
 
 
 def hull_tuples(pts) -> list[tuple[float, float]]:
@@ -84,66 +95,32 @@ def contains_point(r: RotatedRect, x: float, y: float, slack: float = 0.5) -> bo
     return abs(u) <= r.size_w / 2 + slack and abs(v) <= r.size_h / 2 + slack
 
 
-# -- contour tracing ---------------------------------------------------------
+# -- column profile and loop length -----------------------------------------
 
-def test_trace_single_pixel():
-    contour = trace_contour(one_pixel(5, 5, 2, 3))
-    assert contour.tolist() == [[2, 3]]
-
-
-def test_trace_3x3_block_order():
-    # counter-clockwise on a y-down screen, starting topmost-then-leftmost
-    contour = trace_contour(solid(3, 3))
-    assert contour.shape == (8, 2)
-    assert contour.tolist() == [[0, 0], [0, 1], [0, 2], [1, 2], [2, 2], [2, 1], [2, 0], [1, 0]]
-
-
-def test_trace_empty_raises():
-    with pytest.raises(EmptyInputError):
-        trace_contour(BinaryImage(np.zeros((4, 4), bool)))
+def test_profile_of_block_with_gap():
+    px = np.zeros((6, 5), bool)
+    px[1:4, 0] = True
+    px[2, 1] = True
+    px[0:6, 3:5] = True
+    cols, top, bot = column_profile(BinaryImage(px))
+    assert cols.tolist() == [0, 1, 3, 4]
+    assert top.tolist() == [1, 2, 0, 0]
+    assert bot.tolist() == [3, 2, 5, 5]
 
 
-def test_trace_boundary_predicate_on_render():
-    from boltvision.synth import RenderParams, render_bolt, standard_catalog
+def test_profile_of_blank_image_is_empty():
+    cols, top, bot = column_profile(BinaryImage(np.zeros((4, 4), bool)))
+    assert cols.size == top.size == bot.size == 0
+    assert loop_length(top, bot) == 0.0
 
-    spec = next(s for s in standard_catalog() if s.name == "M8x35_HT")
-    img, _ = render_bolt(spec, RenderParams(500, 500, PixelPoint(250, 250), angle_deg=25.0))
-    px = img.px
-    for x, y in trace_contour(img).tolist():
-        assert px[y, x]
-        on_border = x in (0, img.width - 1) or y in (0, img.height - 1)
-        has_black_4n = (
-            (x > 0 and not px[y, x - 1])
-            or (x < img.width - 1 and not px[y, x + 1])
-            or (y > 0 and not px[y - 1, x])
-            or (y < img.height - 1 and not px[y + 1, x])
-        )
-        assert on_border or has_black_4n
-
-
-@given(binary_images)
-def test_trace_is_closed_8_chain(img):
-    comps = connected_components(img)
-    if not comps:
-        return
-    pts = trace_contour(comps[0].mask).tolist()
-    n = len(pts)
-    for i in range(n):
-        (x0, y0), (x1, y1) = pts[i], pts[(i + 1) % n]
-        if n > 1:
-            assert (x0, y0) != (x1, y1)
-            assert max(abs(x1 - x0), abs(y1 - y0)) == 1
-
-
-# -- arc length --------------------------------------------------------------
 
 def test_arc_single_point():
-    assert arc_length(as_points([(3, 3)])) == 0.0
+    assert profile_loop(one_pixel(5, 5, 3, 3)) == 0.0
 
 
 def test_arc_3x3_block():
-    # the 8-point ring steps are all axial: 8 unit moves
-    assert arc_length(trace_contour(solid(3, 3))) == pytest.approx(8.0)
+    # the 8-pixel ring steps are all axial: 8 unit moves
+    assert profile_loop(solid(3, 3)) == pytest.approx(8.0)
 
 
 def test_arc_scales_with_render_factor():
@@ -155,8 +132,28 @@ def test_arc_scales_with_render_factor():
         img, _ = render_bolt(
             spec, RenderParams(700, 700, PixelPoint(350, 350), px_per_mm=ppm)
         )
-        lengths.append(arc_length(trace_contour(img)))
+        lengths.append(profile_loop(img))
     assert lengths[1] / lengths[0] == pytest.approx(2.0, rel=0.02)
+
+
+def test_loop_matches_moore_walk_on_single_run_columns():
+    # where every column is one run, the loop visits the same boundary a
+    # Moore walk does; 2812.126... is the walk's length on this render
+    from boltvision.synth import RenderParams, render_bolt, standard_catalog
+
+    spec = next(s for s in standard_catalog() if s.name == "M12x75_HT")
+    img, _ = render_bolt(spec, RenderParams(968, 968, PixelPoint(484, 484)))
+    cols, top, bot = column_profile(img)
+    assert (img.px[:, cols].sum(axis=0) == bot - top + 1).all()
+    assert loop_length(top, bot) == pytest.approx(2812.1261171702936, abs=1e-6)
+
+
+@given(binary_images)
+def test_loop_length_mirror_invariant(img):
+    flipped = [img, BinaryImage(img.px[:, ::-1]), BinaryImage(img.px[::-1])]
+    lengths = [profile_loop(f) for f in flipped]
+    assert lengths[1] == pytest.approx(lengths[0])
+    assert lengths[2] == pytest.approx(lengths[0])
 
 
 # -- convex hull -------------------------------------------------------------
@@ -286,19 +283,19 @@ def test_rect_of_mask_empty():
 # -- convexity ---------------------------------------------------------------
 
 def test_convex_rectangle_boundary():
-    assert is_contour_convex(trace_contour(solid(12, 6)))
+    assert is_contour_convex(profile_points(solid(12, 6)))
 
 
 def test_concave_plus_sign():
     px = np.zeros((15, 15), bool)
     px[5:10, :] = True
     px[:, 5:10] = True
-    assert not is_contour_convex(trace_contour(BinaryImage(px)))
+    assert not is_contour_convex(profile_points(BinaryImage(px)))
 
 
 def test_degenerate_contours_are_convex():
-    assert is_contour_convex(as_points([(2, 2)]))
-    assert is_contour_convex(as_points([(2, 2), (3, 2)]))
+    assert is_contour_convex(profile_points(one_pixel(5, 5, 2, 2)))
+    assert is_contour_convex(profile_points(solid(2, 1)))
 
 
 def test_half_thread_left_body_convex_full_thread_not():
@@ -314,7 +311,7 @@ def test_half_thread_left_body_convex_full_thread_not():
         x0 = int(round(truth.shoulder_col_px)) + 8
         body = crop(comp.mask, AxisRect(x0, 0, r.w - x0, r.h))
         half = crop(body, AxisRect(0, 0, body.width // 2, body.height))
-        return trace_contour(half)
+        return profile_points(half)
 
     assert is_contour_convex(left_half_body("M10x50_HT"))
     assert not is_contour_convex(left_half_body("M10x35_FT"))
