@@ -37,8 +37,6 @@ from .identify import LookupTable, enroll, load_table, nearest_match, save_table
 from .imagecore import (
     AxisRect,
     BinaryImage,
-    Component,
-    Otsu,
     PixelPoint,
     connected_components,
     read_pgm,
@@ -112,16 +110,7 @@ def build_config(path: str | None, sets: list[str]) -> PipelineConfig:
 def _load_binary(path: str) -> BinaryImage:
     with open(path, "rb") as fh:
         data = fh.read()
-    return threshold(read_pgm(data), Otsu())
-
-
-def _bolt_components(img: BinaryImage, cfg: PipelineConfig) -> list[Component]:
-    # connected_components is already row-major by bounding-rect origin
-    return [c for c in connected_components(img) if c.area >= cfg.min_component_area]
-
-
-def _largest(comps: list[Component]) -> Component:
-    return max(comps, key=lambda c: c.area)
+    return threshold(read_pgm(data))
 
 
 def _read_manifest(path: str) -> list[dict[str, str]]:
@@ -258,10 +247,10 @@ def cmd_enroll(args: argparse.Namespace) -> int:
         path = os.path.join(base, row["file"])
         if not os.path.isfile(path):
             raise ConfigError(f"manifest names a missing file: {row['file']}")
-        comps = _bolt_components(_load_binary(path), cfg)
+        comps = connected_components(_load_binary(path), cfg.min_component_area)
         if not comps:
             raise EnrollmentError(name, "no component above the area floor")
-        samples.append((name, _largest(comps).mask))
+        samples.append((name, max(comps, key=lambda c: c.area).mask))
 
     table = enroll(samples, cfg, px_per_mm=ppm)
     with open(args.out, "wb") as fh:
@@ -300,7 +289,7 @@ def cmd_identify(args: argparse.Namespace) -> int:
             })
             failed_files += 1
             continue
-        comps = _bolt_components(img, cfg)
+        comps = connected_components(img, cfg.min_component_area)
         if not comps:
             print(f"warning: no components in {path}", file=sys.stderr)
             continue
@@ -368,7 +357,7 @@ def cmd_measure(args: argparse.Namespace) -> int:
     cfg = build_config(args.config, args.set)
     ppm = args.px_per_mm if args.px_per_mm is not None else DEFAULT_PX_PER_MM
     img = _load_binary(args.image)
-    comps = _bolt_components(img, cfg)
+    comps = connected_components(img, cfg.min_component_area)
     if comps:
         idx = max(range(len(comps)), key=lambda i: comps[i].area)
         mask, rect = comps[idx].mask, comps[idx].rect
@@ -473,10 +462,10 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
     masks: list[BinaryImage] = []
     for path in args.images:
-        comps = _bolt_components(_load_binary(path), cfg)
+        comps = connected_components(_load_binary(path), cfg.min_component_area)
         if not comps:
             raise EmptyInputError(f"no component above the area floor in {path}")
-        masks.append(_largest(comps).mask)
+        masks.append(max(comps, key=lambda c: c.area).mask)
 
     per_stage: dict[str, list[float]] = {s: [] for s in _STAGES}
     totals: list[float] = []

@@ -120,45 +120,30 @@ def otsu_level(img: GrayImage) -> int:
     is white iff value > level.  Ties resolve to the lowest level.  On a
     uniform image every split is equally bad and level 0 is returned.
     """
-    hist = np.bincount(img.px.ravel(), minlength=256).astype(np.float64)
-    w0 = np.cumsum(hist)
-    w1 = w0[-1] - w0
-    cum = np.cumsum(hist * np.arange(256))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        mu0 = cum / w0
-        mu1 = (cum[-1] - cum) / w1
-        var = w0 * w1 * (mu0 - mu1) ** 2
-    var = np.nan_to_num(var, nan=0.0)
-    return int(np.argmax(var))
+    hist = np.bincount(img.px.ravel(), minlength=256).tolist()
+    n = sum(hist)
+    total = sum(v * c for v, c in enumerate(hist))
+    # the variance is num / den; exact integers keep equal splits tied,
+    # where floats can round a later level above an earlier one
+    best, best_num, best_den = 0, 0, 1
+    w0 = cum = 0
+    for level, count in enumerate(hist):
+        w0 += count
+        cum += level * count
+        w1 = n - w0
+        num, den = (cum * w1 - (total - cum) * w0) ** 2, w0 * w1
+        if den and num * best_den > best_num * den:
+            best, best_num, best_den = level, num, den
+    return best
 
 
-@dataclass(frozen=True)
-class FixedLevel:
-    """Threshold at a caller-chosen level."""
-
-    level: int
-
-    def __post_init__(self):
-        if not 0 <= int(self.level) <= 255:
-            raise ParameterError(
-                f"threshold level must lie in 0..255, got {self.level}"
-            )
-
-
-@dataclass(frozen=True)
-class Otsu:
-    """Threshold at the level picked by otsu_level()."""
-
-
-def threshold(img: GrayImage, method: FixedLevel | Otsu = Otsu()) -> BinaryImage:
-    """Binarise: white iff value > level, the level chosen by the method."""
-    if isinstance(method, FixedLevel):
-        level = int(method.level)
-    elif isinstance(method, Otsu):
+def threshold(img: GrayImage, level: int | None = None) -> BinaryImage:
+    """Binarise: white iff value > level; None picks otsu_level(img)."""
+    if level is None:
         level = otsu_level(img)
-    else:
-        raise ParameterError(f"unknown threshold method {method!r}")
-    return BinaryImage(img.px > level)
+    elif not 0 <= int(level) <= 255:
+        raise ParameterError(f"threshold level must lie in 0..255, got {level}")
+    return BinaryImage(img.px > int(level))
 
 
 def _white_runs(px: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -177,62 +162,68 @@ def _white_runs(px: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return rows, starts % (w + 2), ends % (w + 2) - 1
 
 
-def _find(parent: list[int], x: int) -> int:
-    while parent[x] != x:
-        parent[x] = parent[parent[x]]
-        x = parent[x]
-    return x
+def connected_components(img: BinaryImage, min_area: int = 0) -> list[Component]:
+    """Label 8-connected foreground regions of at least min_area pixels.
 
-
-def connected_components(img: BinaryImage) -> list[Component]:
-    """Label 8-connected foreground regions.
-
-    Returns one Component per region, each mask cropped to its bounding
-    rect and its area summed from its runs, ordered row-major by the rect's
-    top-left corner.
+    Returns one Component per such region, each mask cropped to its
+    bounding rect, ordered row-major by the rect's top-left corner; ties
+    go to the region whose first run comes first.  Smaller regions are
+    dropped before their masks are built.
     """
-    rows_a, starts_a, ends_a = _white_runs(img.px)
-    n = rows_a.size
+    rows, starts, ends = _white_runs(img.px)
+    n = rows.size
     if n == 0:
         return []
-    rows = rows_a.tolist()
-    starts = starts_a.tolist()
-    ends = ends_a.tolist()
-    row_first = np.searchsorted(rows_a, np.arange(img.height + 1)).tolist()
+    # run i touches run j of the row above when their columns overlap or
+    # meet diagonally; on keys row * (w + 2) + column the runs of one row
+    # are sorted, so those j form the index range lo[i]:hi[i]
+    stride = img.width + 2
+    row_above = (rows - 1) * stride
+    lo = np.searchsorted(rows * stride + ends, row_above + starts - 1)
+    hi = np.searchsorted(rows * stride + starts, row_above + ends + 1, side="right")
+    counts = hi - lo
+    below = np.repeat(np.arange(n), counts)
+    offset = np.cumsum(counts) - counts
+    upper = np.repeat(lo - offset, counts) + np.arange(below.size)
 
-    parent = list(range(n))
-    for r in range(1, img.height):
-        i, j = row_first[r - 1], row_first[r]
-        i_end, j_end = row_first[r], row_first[r + 1]
-        while i < i_end and j < j_end:
-            # 8-connectivity: diagonal contact counts, hence the +1 slack
-            if starts[i] <= ends[j] + 1 and starts[j] <= ends[i] + 1:
-                ri, rj = _find(parent, i), _find(parent, j)
-                if ri != rj:
-                    parent[rj] = ri
-            if ends[i] < ends[j]:
-                i += 1
-            else:
-                j += 1
+    # hook the larger root of each pair that spans two roots under the
+    # smaller one, then flatten, so every run ends up labelled with the
+    # first run of its region
+    lab = np.arange(n)
+    while True:
+        a, b = lab[upper], lab[below]
+        spans = a != b
+        if not spans.any():
+            break
+        upper, below, a, b = upper[spans], below[spans], a[spans], b[spans]
+        np.minimum.at(lab, np.maximum(a, b), np.minimum(a, b))
+        while True:
+            flat = lab[lab]
+            if np.array_equal(flat, lab):
+                break
+            lab = flat
 
-    groups: dict[int, list[int]] = {}
-    for k in range(n):
-        groups.setdefault(_find(parent, k), []).append(k)
+    # group the runs of each region, first run first
+    order = np.argsort(lab, kind="stable")
+    rows, starts, ends = rows[order], starts[order], ends[order]
+    first = np.flatnonzero(np.diff(lab[order], prepend=-1))
+    last = np.append(first[1:], n) - 1
+    y0s, y1s = rows[first], rows[last]
+    x0s = np.minimum.reduceat(starts, first)
+    x1s = np.maximum.reduceat(ends, first)
+    areas = np.add.reduceat(ends - starts + 1, first)
+    keep = np.flatnonzero(areas >= min_area)
+    keep = keep[np.lexsort((x0s[keep], y0s[keep]))]
 
+    rows, starts, ends = rows.tolist(), starts.tolist(), ends.tolist()
     comps = []
-    for idxs in groups.values():
-        y0 = min(rows[k] for k in idxs)
-        y1 = max(rows[k] for k in idxs)
-        x0 = min(starts[k] for k in idxs)
-        x1 = max(ends[k] for k in idxs)
-        mask = np.zeros((y1 - y0 + 1, x1 - x0 + 1), dtype=bool)
-        area = 0
-        for k in idxs:
+    for g in keep.tolist():
+        x0, y0 = int(x0s[g]), int(y0s[g])
+        rect = AxisRect(x0, y0, int(x1s[g]) - x0 + 1, int(y1s[g]) - y0 + 1)
+        mask = np.zeros((rect.h, rect.w), dtype=bool)
+        for k in range(first[g], last[g] + 1):
             mask[rows[k] - y0, starts[k] - x0 : ends[k] - x0 + 1] = True
-            area += ends[k] - starts[k] + 1
-        rect = AxisRect(x0, y0, x1 - x0 + 1, y1 - y0 + 1)
-        comps.append(Component(BinaryImage(mask), rect, area))
-    comps.sort(key=lambda c: (c.rect.y, c.rect.x))
+        comps.append(Component(BinaryImage(mask), rect, int(areas[g])))
     return comps
 
 

@@ -58,7 +58,7 @@ class PipelineConfig:
     head_frac         fraction of the length searched for the shoulder
     thread_slice_frac fraction of the body, at the tip, used for pitch
     min_pitch_len_px  skip the pitch estimate for shorter parts
-    min_component_area components below this many pixels are dropped
+    min_component_area connected_components drops regions below this many pixels
     """
 
     thresh: int = 5
@@ -118,17 +118,14 @@ class OrientedBolt:
 
 @dataclass(frozen=True)
 class HeadCut:
-    """Result of the shoulder search: cut column and the two sides.
+    """Result of the shoulder search: cut column and the body right of it.
 
-    head is None when the cut lands at column 0.  no_shoulder is set when
-    the search saw no head/body transition inside its range, in which case
-    h falls back to thresh alone.
+    no_shoulder is set when the search saw no head/body transition inside
+    its range, in which case h falls back to thresh alone.
     """
 
     h: int
-    head: BinaryImage | None
     body: BinaryImage
-    thresh_used: int
     no_shoulder: bool = False
 
 
@@ -275,8 +272,7 @@ def remove_head(
     if h >= l:
         raise MalformedBoltError(f"cut at {h} leaves no body (length {l})")
     body = crop(img, AxisRect(h, 0, l - h, img.height))
-    head = crop(img, AxisRect(0, 0, h, img.height)) if h > 0 else None
-    return HeadCut(h=h, head=head, body=body, thresh_used=thresh, no_shoulder=no_shoulder)
+    return HeadCut(h=h, body=body, no_shoulder=no_shoulder)
 
 
 def classify_threading(

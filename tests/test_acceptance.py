@@ -29,7 +29,6 @@ from boltvision.imagecore import (
     GrayImage,
     PixelPoint,
     connected_components,
-    count_white,
     read_binary_pgm,
     read_pgm,
     write_binary_pgm,
@@ -81,9 +80,7 @@ def _render(spec: BoltSpec, angle: float, *, pad: int = 10, noise: float = 0.0,
 
 
 def _largest_mask(img: BinaryImage, min_area: int = 50) -> BinaryImage:
-    comps = [c for c in connected_components(img)
-             if count_white(c.mask) >= min_area]
-    return max(comps, key=lambda c: count_white(c.mask)).mask
+    return max(connected_components(img, min_area), key=lambda c: c.area).mask
 
 
 @pytest.fixture(scope="module")

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -12,9 +12,7 @@ from boltvision.errors import BoundsError, EmptyInputError, ParameterError, PgmF
 from boltvision.imagecore import (
     AxisRect,
     BinaryImage,
-    FixedLevel,
     GrayImage,
-    Otsu,
     PixelPoint,
     connected_components,
     count_white,
@@ -58,27 +56,22 @@ def test_images_compare_by_content():
 
 def test_fixed_level_all_above():
     img = GrayImage(np.full((4, 4), 200, np.uint8))
-    out = threshold(img, FixedLevel(128))
+    out = threshold(img, level=128)
     assert count_white(out) == 16
 
 
 def test_fixed_level_all_below():
     img = GrayImage(np.zeros((4, 4), np.uint8))
-    out = threshold(img, FixedLevel(128))
+    out = threshold(img, level=128)
     assert count_white(out) == 0
 
 
 def test_fixed_level_validates_range():
-    with pytest.raises(ParameterError):
-        FixedLevel(-1)
-    with pytest.raises(ParameterError):
-        FixedLevel(256)
-
-
-def test_threshold_rejects_unknown_method():
     img = GrayImage(np.zeros((2, 2), np.uint8))
     with pytest.raises(ParameterError):
-        threshold(img, method=128)  # type: ignore[arg-type]
+        threshold(img, level=-1)
+    with pytest.raises(ParameterError):
+        threshold(img, level=256)
 
 
 def _otsu_oracle(px: np.ndarray) -> int:
@@ -101,16 +94,18 @@ def _otsu_oracle(px: np.ndarray) -> int:
 
 def test_otsu_bimodal_matches_fixed_level():
     # half the pixels at 40, half at 210: any level between the modes
-    # separates them, so the thresholded image equals FixedLevel(124)
+    # separates them, so the thresholded image equals level 124
     px = np.full((8, 8), 40, np.uint8)
     px[4:] = 210
     img = GrayImage(px)
     level = otsu_level(img)
     assert level == _otsu_oracle(px)
-    assert threshold(img, Otsu()) == threshold(img, FixedLevel(124))
+    assert threshold(img) == threshold(img, level=124)
 
 
 @given(gray_images)
+# levels 121 and 143 split this image equally well; floats ranked 143 higher
+@example(GrayImage(np.array([[0, 0, 245, 255], [49, 255, 140, 247], [143, 166, 77, 121]])))
 def test_otsu_agrees_with_exhaustive_scan(img):
     assert otsu_level(img) == _otsu_oracle(img.px)
 
@@ -118,8 +113,8 @@ def test_otsu_agrees_with_exhaustive_scan(img):
 @given(gray_images, st.integers(0, 254))
 def test_threshold_monotone(img, t):
     # raising the level never turns a black pixel white
-    lo = threshold(img, FixedLevel(t)).px
-    hi = threshold(img, FixedLevel(t + 1)).px
+    lo = threshold(img, level=t).px
+    hi = threshold(img, level=t + 1).px
     assert not np.any(hi & ~lo)
 
 
@@ -161,11 +156,39 @@ def test_components_single_pixel():
     assert count_white(comps[0].mask) == 1
 
 
-def test_components_diagonal_connectivity():
+def _diagonal() -> np.ndarray:
     px = np.zeros((4, 4), bool)
     px[0, 0] = px[1, 1] = px[2, 2] = True
+    return px
+
+
+def _u_shape(rows: int = 2000) -> np.ndarray:
+    # the two arms meet only on the bottom row
+    px = np.zeros((rows, 5), bool)
+    px[:, 0] = px[:, -1] = px[-1] = True
+    return px
+
+
+def _spiral(n: int = 1000) -> np.ndarray:
+    """Square spiral one pixel wide, its turns one pixel apart."""
+    px = np.zeros((n, n), bool)
+    lo, hi = 0, n - 1
+    while lo < hi:
+        px[lo, lo : hi + 1] = px[lo : hi + 1, hi] = px[hi, lo : hi + 1] = True
+        px[lo + 2 : hi + 1, lo] = True
+        # step in to the next turn, which starts one pixel further in
+        px[lo + 2, lo : lo + 3] = True
+        lo, hi = lo + 2, hi - 2
+    return px
+
+
+@pytest.mark.parametrize("make", [_diagonal, _u_shape, _spiral],
+                         ids=["diagonal", "u-2000-rows", "spiral-1000"])
+def test_components_single_region(make):
+    px = make()
     comps = connected_components(BinaryImage(px))
     assert len(comps) == 1
+    assert comps[0].area == np.count_nonzero(px)
 
 
 def test_components_two_rendered_bolts():
@@ -187,9 +210,39 @@ def test_components_two_rendered_bolts():
     assert {c.rect for c in comps} == set(placements.values())
 
 
-@given(binary_images)
-def test_components_partition_white_set(img):
+def _flood_fill(px: np.ndarray) -> list[tuple[AxisRect, int, list]]:
+    """8-neighbour BFS from each unseen white pixel in row-major order:
+    (rect, area, mask rows) per region, row-major by the rect's corner."""
+    h, w = px.shape
+    seen = np.zeros_like(px)
+    regions = []
+    for y in range(h):
+        for x in range(w):
+            if not px[y, x] or seen[y, x]:
+                continue
+            seen[y, x] = True
+            queue = [(y, x)]
+            for cy, cx in queue:
+                for ny in range(max(cy - 1, 0), min(cy + 2, h)):
+                    for nx in range(max(cx - 1, 0), min(cx + 2, w)):
+                        if px[ny, nx] and not seen[ny, nx]:
+                            seen[ny, nx] = True
+                            queue.append((ny, nx))
+            ys, xs = np.array(queue).T
+            rect = AxisRect(int(xs.min()), int(ys.min()),
+                            int(xs.max() - xs.min()) + 1, int(ys.max() - ys.min()) + 1)
+            mask = np.zeros((rect.h, rect.w), bool)
+            mask[ys - rect.y, xs - rect.x] = True
+            regions.append((rect, len(queue), mask.tolist()))
+    regions.sort(key=lambda r: (r[0].y, r[0].x))
+    return regions
+
+
+@given(binary_images, st.integers(0, 20))
+def test_components_partition_white_set(img, min_area):
     comps = connected_components(img)
+    assert [(c.rect, c.area, c.mask.px.tolist()) for c in comps] == _flood_fill(img.px)
+    assert connected_components(img, min_area) == [c for c in comps if c.area >= min_area]
     union = np.zeros_like(img.px)
     total = 0
     for c in comps:
