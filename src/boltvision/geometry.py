@@ -15,19 +15,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 from .errors import EmptyInputError, GeometryError
 from .imagecore import BinaryImage
-
-
-class PointF(NamedTuple):
-    """Sub-pixel position."""
-
-    x: float
-    y: float
 
 
 @dataclass(frozen=True)
@@ -39,7 +31,7 @@ class RotatedRect:
     therefore reports angle -90 with size_w vertical.
     """
 
-    center: PointF
+    center: tuple[float, float]
     size_w: float
     size_h: float
     angle: float
@@ -48,28 +40,20 @@ class RotatedRect:
     def area(self) -> float:
         return self.size_w * self.size_h
 
-    def corners(self) -> list[PointF]:
-        """Corner loop, counter-clockwise on screen, lowest corner first."""
-        t = math.radians(self.angle)
-        wx, wy = math.cos(t), math.sin(t)
-        hx, hy = -math.sin(t), math.cos(t)
-        cx, cy = self.center
-        w2, h2 = self.size_w / 2.0, self.size_h / 2.0
-        c0 = PointF(cx - w2 * wx + h2 * hx, cy - w2 * wy + h2 * hy)
-        c1 = PointF(c0.x + self.size_w * wx, c0.y + self.size_w * wy)
-        c2 = PointF(c1.x - self.size_h * hx, c1.y - self.size_h * hy)
-        c3 = PointF(c0.x - self.size_h * hx, c0.y - self.size_h * hy)
-        return [c0, c1, c2, c3]
+
+def _extremes(px: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(idx, first, last): the indices along axis 1 that hold white, in
+    order, and each one's first and last white index along axis 0."""
+    idx = np.flatnonzero(px.any(axis=0))
+    first = np.argmax(px, axis=0)[idx]
+    last = px.shape[0] - 1 - np.argmax(px[::-1], axis=0)[idx]
+    return idx, first, last
 
 
 def column_profile(img: BinaryImage) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(cols, top, bot): the columns that hold white, left to right, and
     each one's topmost and bottommost white row, as int arrays."""
-    px = img.px
-    cols = np.flatnonzero(px.any(axis=0))
-    top = np.argmax(px, axis=0)[cols]
-    bot = px.shape[0] - 1 - np.argmax(px[::-1], axis=0)[cols]
-    return cols, top, bot
+    return _extremes(img.px)
 
 
 def loop_length(top: np.ndarray, bot: np.ndarray) -> float:
@@ -125,14 +109,18 @@ def _extents(arr: np.ndarray, ux: float, uy: float) -> tuple[float, float]:
     return float(proj.min()), float(proj.max())
 
 
-def _mask_rect_px(px: np.ndarray) -> RotatedRect | None:
-    """rect_of_mask on a bool array; None when it is blank."""
-    rows = np.flatnonzero(px.any(axis=1))
+def rect_of_mask(img: BinaryImage) -> RotatedRect:
+    """Minimum-area enclosing rectangle of an image's white pixels.
+
+    Rotating calipers on the convex hull of the pixel centers, taken from
+    each row's leftmost and rightmost white pixel, which hull the same as
+    the whole pixel set; extents are dilated by 1 so the result reads as a
+    pixel count.  One edge is flush with a hull edge, the angle lands in
+    [-90, 0), and ties prefer the axis-aligned candidate.
+    """
+    rows, left, right = _extremes(img.px.T)
     if rows.size == 0:
-        return None
-    sub = px[rows]
-    left = np.argmax(sub, axis=1)
-    right = px.shape[1] - 1 - np.argmax(sub[:, ::-1], axis=1)
+        raise EmptyInputError("rect_of_mask of an all-black image")
     ys = np.concatenate([rows, rows]).astype(np.float64) + 0.5
     xs = np.concatenate([left, right]).astype(np.float64) + 0.5
     hull = convex_hull(np.column_stack([xs, ys]))
@@ -158,23 +146,8 @@ def _mask_rect_px(px: np.ndarray) -> RotatedRect | None:
     lo_h, hi_h = _extents(hull, -wy, wx)
     mw = (lo_w + hi_w) / 2.0
     mh = (lo_h + hi_h) / 2.0
-    center = PointF(mw * wx + mh * -wy, mw * wy + mh * wx)
+    center = (mw * wx + mh * -wy, mw * wy + mh * wx)
     return RotatedRect(center, hi_w - lo_w + 1.0, hi_h - lo_h + 1.0, angle)
-
-
-def rect_of_mask(img: BinaryImage) -> RotatedRect:
-    """Minimum-area enclosing rectangle of an image's white pixels.
-
-    Rotating calipers on the convex hull of the pixel centers, taken from
-    each row's leftmost and rightmost white pixel, which hull the same as
-    the whole pixel set; extents are dilated by 1 so the result reads as a
-    pixel count.  One edge is flush with a hull edge, the angle lands in
-    [-90, 0), and ties prefer the axis-aligned candidate.
-    """
-    rect = _mask_rect_px(img.px)
-    if rect is None:
-        raise EmptyInputError("rect_of_mask of an all-black image")
-    return rect
 
 
 def is_contour_convex(c: np.ndarray, tol: float = 1.5) -> bool:

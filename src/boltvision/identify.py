@@ -77,19 +77,13 @@ class MatchResult:
     """Outcome of one identification.
 
     ``name`` is None when the nearest template is too far away to
-    trust.  ``dims_mm`` carries the measured (major, minor) of the
-    query converted through the table's factor; ``threading_agreed``
-    records whether the measured threading matches the chosen entry.
+    trust.  ``threading_agreed`` records whether the measured threading
+    matches the chosen entry.
     """
 
     name: str | None
     distance_px: float
-    dims_mm: tuple[float, float]
     threading_agreed: bool
-
-
-def px_to_mm(v: float, table: LookupTable) -> float:
-    return v / table.px_per_mm
 
 
 def nearest_match(
@@ -122,14 +116,12 @@ def nearest_match(
     idx = (agreeing or tied)[0]
 
     chosen = table.entries[idx]
-    dims_mm = (px_to_mm(features.major_px, table), px_to_mm(features.minor_px, table))
     name: str | None = chosen.name
     if dists[idx] > reject_frac * features.major_px:
         name = None
     return MatchResult(
         name=name,
         distance_px=dists[idx],
-        dims_mm=dims_mm,
         threading_agreed=chosen.threading is features.threading,
     )
 

@@ -106,11 +106,9 @@ class Component(NamedTuple):
     area: int
 
 
-def count_white(img: BinaryImage, region: AxisRect | None = None) -> int:
-    """Number of foreground pixels, optionally restricted to a region."""
-    if region is None:
-        return int(np.count_nonzero(img.px))
-    return int(np.count_nonzero(crop(img, region).px))
+def count_white(img: BinaryImage) -> int:
+    """Number of foreground pixels."""
+    return int(np.count_nonzero(img.px))
 
 
 def otsu_level(img: GrayImage) -> int:
@@ -153,13 +151,14 @@ def _white_runs(px: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     transitions from merging across the raveled row boundary.
     """
     h, w = px.shape
-    padded = np.zeros((h, w + 2), dtype=np.int8)
+    padded = np.zeros((h, w + 2), dtype=bool)
     padded[:, 1:-1] = px
-    d = np.diff(padded.ravel())
-    starts = np.flatnonzero(d == 1)
-    ends = np.flatnonzero(d == -1)
-    rows = starts // (w + 2)
-    return rows, starts % (w + 2), ends % (w + 2) - 1
+    flat = padded.ravel()
+    # the padding makes every run open and close inside its row, so the
+    # changes alternate start, end
+    t = np.flatnonzero(flat[1:] != flat[:-1])
+    starts, ends = t[0::2], t[1::2]
+    return starts // (w + 2), starts % (w + 2), ends % (w + 2) - 1
 
 
 def connected_components(img: BinaryImage, min_area: int = 0) -> list[Component]:

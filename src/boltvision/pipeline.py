@@ -26,14 +26,13 @@ from .errors import (
     StageError,
 )
 from .geometry import (
-    _mask_rect_px,
     column_profile,
     is_contour_convex,
     loop_length,
     rect_of_mask,
     warp_to_upright,
 )
-from .imagecore import AxisRect, BinaryImage, count_white, crop, rotate180
+from .imagecore import AxisRect, BinaryImage, crop, rotate180
 
 
 # scale of the reference setup: the default wherever pixels meet millimetres
@@ -99,17 +98,17 @@ class PipelineConfig:
 class OrientedBolt:
     """Upright landscape silhouette with the head on the left.
 
-    img is the warped silhouette; major_px is its width and head_w_px its
-    height.  profile is img's column profile (cols, top, bot), which the
-    perimeter, the shoulder search and the threading test read.  src,
+    img is the warped silhouette: its width is the length and its height
+    the head width.  counts holds img's white pixel count per column and
+    profile its column profile (cols, top, bot); the area, the perimeter,
+    the shoulder search and the threading test read these two.  src,
     axis_u and axis_c keep the source frame and the source direction of
     this image's +x axis so measurements can also be taken before
     resampling.
     """
 
     img: BinaryImage
-    major_px: int
-    head_w_px: int
+    counts: np.ndarray
     profile: tuple[np.ndarray, np.ndarray, np.ndarray]
     src: BinaryImage
     axis_u: tuple[float, float]
@@ -118,14 +117,14 @@ class OrientedBolt:
 
 @dataclass(frozen=True)
 class HeadCut:
-    """Result of the shoulder search: cut column and the body right of it.
+    """Result of the shoulder search: the body is the upright image's
+    columns from h on.
 
     no_shoulder is set when the search saw no head/body transition inside
     its range, in which case h falls back to thresh alone.
     """
 
     h: int
-    body: BinaryImage
     no_shoulder: bool = False
 
 
@@ -191,18 +190,16 @@ def orient(component: BinaryImage) -> OrientedBolt:
     if up.height > up.width:
         up = _rot90_cw(up)
         axis_u, axis_v = (-axis_v[0], -axis_v[1]), axis_u
+    counts = np.count_nonzero(up.px, axis=0)
     half = up.width // 2
-    if half > 0:
-        left = count_white(up, AxisRect(0, 0, half, up.height))
-        right = count_white(up, AxisRect(up.width - half, 0, half, up.height))
-        if right > left:
-            up = rotate180(up)
-            axis_u = (-axis_u[0], -axis_u[1])
+    if counts[up.width - half :].sum() > counts[:half].sum():
+        up = rotate180(up)
+        counts = counts[::-1]
+        axis_u = (-axis_u[0], -axis_u[1])
     cx, cy = rect.center
     return OrientedBolt(
         img=up,
-        major_px=up.width,
-        head_w_px=up.height,
+        counts=counts,
         profile=column_profile(up),
         src=component,
         axis_u=axis_u,
@@ -231,7 +228,7 @@ def measure_axes(bolt: OrientedBolt) -> tuple[float, float]:
         raise MalformedBoltError("tip half of the bolt is empty")
     tip = np.zeros(bolt.src.px.shape, dtype=bool)
     tip[ys[keep], xs[keep]] = True
-    rect = _mask_rect_px(tip)
+    rect = rect_of_mask(BinaryImage(tip))
     return major, min(rect.size_w, rect.size_h)
 
 
@@ -255,9 +252,8 @@ def remove_head(
         raise ParameterError(f"thresh must be >= 0, got {thresh}")
     if d is None:
         d = measure_axes(bolt)[1]
-    img = bolt.img
-    l = img.width
-    w = float(bolt.head_w_px)
+    l = bolt.img.width
+    w = float(bolt.img.height)
     bound = min(int(head_frac * l), l - 1)
     cols, top, bot = bolt.profile
     lo = np.minimum.accumulate(top[::-1])[::-1]
@@ -271,19 +267,20 @@ def remove_head(
     h = h_star + thresh
     if h >= l:
         raise MalformedBoltError(f"cut at {h} leaves no body (length {l})")
-    body = crop(img, AxisRect(h, 0, l - h, img.height))
-    return HeadCut(h=h, body=body, no_shoulder=no_shoulder)
+    return HeadCut(h=h, no_shoulder=no_shoulder)
 
 
 def classify_threading(
-    body: BinaryImage,
+    bolt: OrientedBolt,
+    h: int,
     d: float,
     *,
     tol: float = 1.5,
     perim_ratio: float = 1.15,
     fill_frac: float = 0.97,
 ) -> ThreadingType:
-    """Classify a headless body as fully or half threaded.
+    """Classify the body, the upright columns from h on, as fully or half
+    threaded.
 
     Half threading fires on any of three signs read off the column profile
     of the two halves of the body (threads grow toward the tip, so a plain
@@ -292,11 +289,13 @@ def classify_threading(
     perim_ratio times as long as the left one, or a left half filling at
     least fill_frac of its d x length box.
     """
-    wdt = body.width
+    wdt = bolt.img.width - h
     if wdt < 4:
         raise InsufficientDataError(f"body too narrow to classify ({wdt} px)")
     mid = wdt // 2
-    cols, top, bot = column_profile(body)
+    cols, top, bot = bolt.profile
+    body = cols >= h
+    cols, top, bot = cols[body] - h, top[body], bot[body]
     left = cols < mid
     if left.all() or not left.any():
         raise InsufficientDataError("half of the body is blank")
@@ -308,33 +307,35 @@ def classify_threading(
     pr = loop_length(top[~left], bot[~left])
     if pr > perim_ratio * pl:
         return ThreadingType.HALF
-    if count_white(body, AxisRect(0, 0, mid, body.height)) >= fill_frac * d * mid:
+    if bolt.counts[h : h + mid].sum() >= fill_frac * d * mid:
         return ThreadingType.HALF
     return ThreadingType.FULL
 
 
 def estimate_pitch(
-    body: BinaryImage, nudge: int = 2, *, slice_frac: float = 0.3
+    bolt: OrientedBolt, h: int, nudge: int = 2, *, slice_frac: float = 0.3
 ) -> PitchTrace:
     """Read the thread pitch off a scan row near the top of the tip slice.
 
-    The rightmost slice_frac of the body is squared up on its own rect,
-    then the row `nudge` rows below the top edge is run-length scanned.
-    Single-pixel holes are filled first: nearest-neighbor resampling can
-    punch them through a crest run, splitting it in two, while genuine
-    inter-crest gaps are always wider.  Runs within 2 px of either slice
-    edge are truncated crests and are dropped; losing a whole end crest
-    is harmless because the surviving centers stay exactly one pitch
-    apart.  The centers of the m surviving runs give a, b and
+    The rightmost slice_frac of the body, the upright columns from h on,
+    is squared up on its own rect, then the row `nudge` rows below the top
+    edge is run-length scanned.  Single-pixel holes are filled first:
+    nearest-neighbor resampling can punch them through a crest run,
+    splitting it in two, while genuine inter-crest gaps are always wider.
+    A wider noise hole still splits a crest, so runs whose gap is under a
+    quarter of the median gap are joined next.  Runs within 2 px of either
+    slice edge are truncated crests and are dropped; losing a whole end
+    crest is harmless because the surviving centers stay exactly one
+    pitch apart.  The centers of the m surviving runs give a, b and
     n = 2 * (m - 1); fewer than 3 runs cannot support an estimate.
     """
     if nudge < 0:
         raise ParameterError(f"nudge must be >= 0, got {nudge}")
     if not 0 < slice_frac <= 1:
         raise ParameterError(f"slice_frac must lie in (0, 1], got {slice_frac}")
-    wdt = body.width
-    k = max(1, int(round(wdt * slice_frac)))
-    sl = crop(body, AxisRect(wdt - k, 0, k, body.height))
+    l = bolt.img.width
+    k = max(1, int(round((l - h) * slice_frac)))
+    sl = crop(bolt.img, AxisRect(l - k, 0, k, bolt.img.height))
     rect = rect_of_mask(sl)
     up = warp_to_upright(sl, rect)
     # keep the thread axis horizontal: the slice can be narrower than the
@@ -352,6 +353,10 @@ def estimate_pitch(
     edges = np.diff(np.concatenate([[0], row.view(np.int8), [0]]))
     starts = np.flatnonzero(edges == 1)
     ends = np.flatnonzero(edges == -1) - 1
+    gaps = starts[1:] - ends[:-1] - 1
+    if gaps.size:
+        join = gaps < np.median(gaps) / 4.0
+        starts, ends = starts[np.r_[True, ~join]], ends[np.r_[~join, True]]
     interior = (starts > 2) & (ends < row.size - 3)
     m = int(interior.sum())
     if m < 3:
@@ -389,7 +394,7 @@ def extract_features(
 
     bolt = run("orient", lambda: orient(component))
     major, minor = run("axes", lambda: measure_axes(bolt))
-    area = run("area", lambda: count_white(bolt.img))
+    area = run("area", lambda: int(bolt.counts.sum()))
     perimeter = run("perimeter", lambda: loop_length(*bolt.profile[1:]))
     cut = run(
         "head",
@@ -398,7 +403,8 @@ def extract_features(
     threading = run(
         "threading",
         lambda: classify_threading(
-            cut.body,
+            bolt,
+            cut.h,
             minor,
             perim_ratio=cfg.perim_ratio,
             fill_frac=cfg.fill_frac,
@@ -410,7 +416,7 @@ def extract_features(
             pitch = run(
                 "pitch",
                 lambda: estimate_pitch(
-                    cut.body, cfg.nudge, slice_frac=cfg.thread_slice_frac
+                    bolt, cut.h, cfg.nudge, slice_frac=cfg.thread_slice_frac
                 ),
             ).pitch_px
         except StageError as exc:

@@ -170,9 +170,9 @@ def test_c3_pitch_accuracy(catalog, capsys):
             continue
         bolt = orient(_largest_mask(img))
         _, minor = measure_axes(bolt)
-        body = remove_head(bolt, 5, d=minor).body
+        h = remove_head(bolt, 5, d=minor).h
         for nudge in (1, 2, 3, 4):
-            trace = estimate_pitch(body, nudge)
+            trace = estimate_pitch(bolt, h, nudge)
             worst = max(worst, abs(trace.pitch_px - truth.pitch_px))
             cases += 1
     ok = cases > 0 and worst <= 0.87
@@ -193,7 +193,7 @@ def test_c4_shoulder_recovery(sweep, capsys):
         cut = remove_head(bolt, 5, d=minor)
         if not sh <= cut.h <= sh + 7.0:
             window_ok = False
-        if cut.h > 0.2 * bolt.major_px + 5:
+        if cut.h > 0.2 * bolt.img.width + 5:
             bound_ok = False
     ok = worst <= 2.0 and window_ok and bound_ok
     _emit(capsys, 4, ok,
@@ -206,8 +206,8 @@ def test_c5_threading_accuracy(sweep, noisy_run, capsys):
     clean_ok = 0
     for spec, angle, bolt, truth in sweep:
         _, minor = measure_axes(bolt)
-        body = remove_head(bolt, 5, d=minor).body
-        if classify_threading(body, minor) is spec.threading:
+        h = remove_head(bolt, 5, d=minor).h
+        if classify_threading(bolt, h, minor) is spec.threading:
             clean_ok += 1
     records, _ = noisy_run
     noisy_ok = sum(1 for spec, f, _, _ in records if f.threading is spec.threading)

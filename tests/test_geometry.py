@@ -231,22 +231,6 @@ def test_rect_against_sweep_oracle():
         assert r.size_w * r.size_h <= sweep_min_area(pts) * 1.005
 
 
-def test_rect_corners_reproduce_geometry():
-    rng = np.random.default_rng(3)
-    for _ in range(20):
-        pts = sorted({tuple(map(int, p)) for p in rng.integers(0, 60, size=(12, 2))})
-        r = rect_of_mask(mask_of(pts))
-        corners = r.corners()
-        assert len(corners) == 4
-        cx = sum(p[0] for p in corners) / 4
-        cy = sum(p[1] for p in corners) / 4
-        assert (cx, cy) == pytest.approx(r.center, abs=1e-6)
-        w = math.dist(corners[0], corners[1])
-        h = math.dist(corners[0], corners[3])
-        assert w == pytest.approx(r.size_w, abs=1e-6)
-        assert h == pytest.approx(r.size_h, abs=1e-6)
-
-
 @given(point_clouds)
 @settings(max_examples=60)
 def test_rect_encloses_and_angle_in_range(cloud):

@@ -14,7 +14,6 @@ from boltvision.identify import (
     enroll,
     load_table,
     nearest_match,
-    px_to_mm,
     save_table,
 )
 from boltvision.imagecore import BinaryImage, PixelPoint, connected_components
@@ -91,13 +90,6 @@ def test_table_rejects_duplicates_and_empties():
         LookupTable(px_per_mm=0.0, entries=(e,))
 
 
-def test_px_to_mm():
-    table = reference_table()
-    assert px_to_mm(0.0, table) == 0.0
-    assert px_to_mm(12.42, table) == pytest.approx(1.0)
-    assert px_to_mm(407.0, table) == pytest.approx(32.77, abs=0.01)
-
-
 # -- nearest_match -----------------------------------------------------------
 
 def test_match_reference_query():
@@ -106,7 +98,6 @@ def test_match_reference_query():
     assert m.name == "M8x35_HT"
     assert m.distance_px == pytest.approx(math.sqrt(10.0))
     assert m.threading_agreed
-    assert m.dims_mm == (pytest.approx(410.0 / PPM), pytest.approx(148.0 / PPM))
 
 
 def test_match_exact_hit():
@@ -175,8 +166,8 @@ def test_enroll_and_identify_round_trip():
 def test_enroll_dims_recover_catalog_mm():
     table = enroll([("M8x35_HT", render_component("M8x35_HT"))])
     e = table.entries[0]
-    assert px_to_mm(e.height_px, table) == pytest.approx(35.0, abs=0.2)
-    assert px_to_mm(e.width_px, table) == pytest.approx(8.0, abs=0.2)
+    assert e.height_px / table.px_per_mm == pytest.approx(35.0, abs=0.2)
+    assert e.width_px / table.px_per_mm == pytest.approx(8.0, abs=0.2)
     assert e.threading is ThreadingType.HALF
 
 
@@ -283,6 +274,5 @@ def test_load_errors_carry_line(data, line):
 
 
 def test_match_result_is_plain_record():
-    m = MatchResult(name="x", distance_px=1.0, dims_mm=(2.0, 3.0),
-                    threading_agreed=True)
-    assert m == MatchResult("x", 1.0, (2.0, 3.0), True)
+    m = MatchResult(name="x", distance_px=1.0, threading_agreed=True)
+    assert m == MatchResult("x", 1.0, True)

@@ -125,12 +125,12 @@ def test_count_all_black():
 
 
 def test_count_region():
-    assert count_white(solid(10, 10), AxisRect(0, 0, 5, 5)) == 25
+    assert count_white(crop(solid(10, 10), AxisRect(0, 0, 5, 5))) == 25
 
 
 def test_count_region_out_of_bounds():
     with pytest.raises(BoundsError):
-        count_white(solid(4, 4), AxisRect(2, 2, 4, 4))
+        count_white(crop(solid(4, 4), AxisRect(2, 2, 4, 4)))
 
 
 def test_count_matches_renderer():
@@ -284,7 +284,7 @@ def test_crop_right_half_count_matches_region_count():
     cat = {s.name: s for s in standard_catalog()}
     img, _ = render_bolt(cat["M8x35_HT"], RenderParams(500, 500, PixelPoint(250, 250)))
     region = AxisRect(250, 0, 250, 500)
-    assert count_white(crop(img, region)) == count_white(img, region)
+    assert count_white(crop(img, region)) == np.count_nonzero(img.px, axis=0)[250:].sum()
 
 
 def test_rotate180_corner_pixel():

@@ -13,9 +13,17 @@ from boltvision.errors import (
     PitchParityError,
     StageError,
 )
-from boltvision.imagecore import BinaryImage, PixelPoint, connected_components, count_white
+from boltvision import pipeline
+from boltvision.imagecore import (
+    BinaryImage,
+    PixelPoint,
+    connected_components,
+    count_white,
+    rotate180,
+)
 from boltvision.pipeline import (
     BoltFeatures,
+    OrientedBolt,
     PipelineConfig,
     PitchTrace,
     ThreadingType,
@@ -92,7 +100,7 @@ def test_orient_recovers_major_after_rotation():
     tilted, _ = render_mask("M10x35_FT", angle=47.0)
     a = orient(upright)
     b = orient(tilted)
-    assert b.major_px == pytest.approx(a.major_px, rel=0.02)
+    assert b.img.width == pytest.approx(a.img.width, rel=0.02)
 
 
 def test_orient_empty_raises():
@@ -109,6 +117,24 @@ def test_orient_head_left_all_angles():
         left = int(bolt.img.px[:, :half].sum())
         right = int(bolt.img.px[:, bolt.img.width - half :].sum())
         assert left >= right, f"head not on the left at {angle} deg"
+
+
+def test_orient_counts_follow_half_turn(monkeypatch):
+    turns = []
+
+    def counted_turn(img):
+        turns.append(img)
+        return rotate180(img)
+
+    monkeypatch.setattr(pipeline, "rotate180", counted_turn)
+    turned = 0
+    for angle in range(0, 360, 45):
+        mask, _ = render_mask("M8x35_HT", angle=float(angle), noise=0.002, seed=angle)
+        before = len(turns)
+        bolt = orient(mask)
+        turned += len(turns) > before
+        assert np.array_equal(bolt.counts, np.count_nonzero(bolt.img.px, axis=0))
+    assert 0 < turned < 8
 
 
 # -- measure_axes ------------------------------------------------------------
@@ -148,13 +174,14 @@ def test_cut_bounded_by_head_frac():
         mask, _ = render_mask(name)
         bolt = orient(mask)
         cut = remove_head(bolt, thresh=5)
-        assert cut.h <= 0.2 * bolt.major_px + 5
+        assert cut.h <= 0.2 * bolt.img.width + 5
 
 
 def test_headless_cylinder_flagged():
-    cut = remove_head(orient(solid_rect(300, 60)), thresh=5)
+    bolt = orient(solid_rect(300, 60))
+    cut = remove_head(bolt, thresh=5)
     assert cut.no_shoulder
-    assert cut.body.width >= 300 - 5
+    assert bolt.img.width - cut.h >= 300 - 5
     assert cut.h == 5
 
 
@@ -166,35 +193,36 @@ def test_remove_head_rejects_negative_thresh():
 
 # -- threading ---------------------------------------------------------------
 
-def _body(name: str, angle: float = 0.0) -> tuple[BinaryImage, float]:
+def _body(name: str, angle: float = 0.0) -> tuple[OrientedBolt, int, float]:
     mask, _ = render_mask(name, angle)
     bolt = orient(mask)
     major, minor = measure_axes(bolt)
-    return remove_head(bolt, thresh=5, d=minor).body, minor
+    return bolt, remove_head(bolt, thresh=5, d=minor).h, minor
 
 
 def test_full_thread_classified():
     # at these two angles the left half of M4x75_FT's body holds a
     # detached 1-px fragment that comes first in row-major order
     for name, angle in (("M10x35_FT", 0.0), ("M4x75_FT", 33.9), ("M4x75_FT", 147.3)):
-        body, d = _body(name, angle)
-        assert classify_threading(body, d) is ThreadingType.FULL, (name, angle)
+        bolt, h, d = _body(name, angle)
+        assert classify_threading(bolt, h, d) is ThreadingType.FULL, (name, angle)
 
 
 def test_half_thread_classified():
-    body, d = _body("M10x50_HT")
-    assert classify_threading(body, d) is ThreadingType.HALF
+    bolt, h, d = _body("M10x50_HT")
+    assert classify_threading(bolt, h, d) is ThreadingType.HALF
 
 
 def test_threadless_cylinder_reads_half():
     # documented: a plain cylinder fires the convexity and fill tests
-    body = solid_rect(200, 50)
-    assert classify_threading(body, 50.0) is ThreadingType.HALF
+    bolt = orient(solid_rect(200, 50))
+    assert classify_threading(bolt, 0, 50.0) is ThreadingType.HALF
 
 
 def test_threading_needs_width():
+    bolt = orient(solid_rect(30, 10))
     with pytest.raises(InsufficientDataError):
-        classify_threading(solid_rect(3, 10), 10.0)
+        classify_threading(bolt, bolt.img.width - 3, 10.0)
 
 
 # -- pitch -------------------------------------------------------------------
@@ -219,21 +247,37 @@ def test_pitch_trace_rejects_backwards():
 
 
 def test_pitch_identity_on_returned_trace():
-    body, _ = _body("M10x50_HT")
-    trace = estimate_pitch(body)
+    bolt, h, _ = _body("M10x50_HT")
+    trace = estimate_pitch(bolt, h)
     assert trace.pitch_px == (trace.b - trace.a) / (trace.n / 2)
 
 
 def test_pitch_within_mm_tolerance():
-    body, _ = _body("M8x35_HT")
+    bolt, h, _ = _body("M8x35_HT")
     spec = spec_named("M8x35_HT")
-    trace = estimate_pitch(body)
+    trace = estimate_pitch(bolt, h)
     assert abs(trace.pitch_px / PPM - spec.pitch_mm) <= 0.07
+
+
+def test_pitch_joins_crest_split_by_wide_hole():
+    # on this noisy pose a noise hole wider than 1 px splits a crest of
+    # the scan row in two, which read one crest too many (41.0 px)
+    spec = spec_named("M12x75_HT")
+    ppm = 25.774746084496915
+    img, truth = render_bolt(spec, RenderParams(
+        2048, 2048, PixelPoint(1013, 1044), angle_deg=117.71001957800186,
+        px_per_mm=ppm, noise=0.002, seed=378027506,
+    ))
+    comp = max(connected_components(img, PipelineConfig().min_component_area),
+               key=lambda c: c.area)
+    f = extract_features(comp.mask)
+    assert f.pitch_px is not None
+    assert abs(f.pitch_px - truth.pitch_px) / ppm <= 0.07
 
 
 def test_pitch_smooth_cylinder():
     with pytest.raises(InsufficientCrestsError):
-        estimate_pitch(solid_rect(400, 60))
+        estimate_pitch(orient(solid_rect(400, 60)), 0)
 
 
 # -- extract_features --------------------------------------------------------
@@ -332,7 +376,7 @@ def test_body_area_below_full_area():
     mask, _ = render_mask("M10x35_FT")
     bolt = orient(mask)
     cut = remove_head(bolt, thresh=5)
-    assert count_white(cut.body) <= count_white(bolt.img)
+    assert bolt.counts[cut.h :].sum() <= bolt.counts.sum()
 
 
 def test_extract_timings_cover_stages():
