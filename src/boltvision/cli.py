@@ -33,7 +33,7 @@ from .errors import (
     ReportFormatError,
     StageError,
 )
-from .identify import LookupTable, enroll, load_table, nearest_match, save_table
+from .identify import REJECT_FRAC, LookupTable, enroll, load_table, nearest_match, save_table
 from .imagecore import (
     AxisRect,
     BinaryImage,
@@ -43,7 +43,7 @@ from .imagecore import (
     threshold,
     write_binary_pgm,
 )
-from .pipeline import DEFAULT_PX_PER_MM, BoltFeatures, PipelineConfig, extract_features
+from .pipeline import DEFAULT_PX_PER_MM, STAGES, BoltFeatures, PipelineConfig, extract_features
 from .synth import RenderParams, load_catalog, render_bolt, standard_catalog
 
 REPORT_SCHEMA = "boltvision-report/1"
@@ -51,7 +51,6 @@ REPORT_SCHEMA = "boltvision-report/1"
 _CONFIG_FIELDS = tuple(f.name for f in dataclasses.fields(PipelineConfig))
 # annotations are strings under `from __future__ import annotations`
 _INT_KEYS = frozenset(f.name for f in dataclasses.fields(PipelineConfig) if f.type == "int")
-_STAGES = ("orient", "axes", "area", "perimeter", "head", "threading", "pitch")
 
 
 # -- config handling ---------------------------------------------------------
@@ -154,12 +153,13 @@ def _feature_dict(f: BoltFeatures, ppm: float) -> dict:
 def _component_report(
     path: str, index: int, rect: AxisRect | None, mask: BinaryImage,
     cfg: PipelineConfig, ppm: float,
-    *, table: LookupTable | None = None, reject_frac: float = 0.1,
+    *, table: LookupTable | None = None, reject_frac: float | None = None,
 ) -> tuple[dict, dict, StageError | None]:
     """Measure one component: its report record, timing row and failure.
 
     A StageError is kept in the record's error field and returned rather
-    than raised.  With a table the features are also matched.
+    than raised.  With a table the features are also matched, rejecting
+    beyond reject_frac.
     """
     rec = {
         "path": path, "component": index,
@@ -467,7 +467,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
             raise EmptyInputError(f"no component above the area floor in {path}")
         masks.append(max(comps, key=lambda c: c.area).mask)
 
-    per_stage: dict[str, list[float]] = {s: [] for s in _STAGES}
+    per_stage: dict[str, list[float]] = {s: [] for s in STAGES}
     totals: list[float] = []
     for mask in masks:
         for _ in range(args.reps):
@@ -475,7 +475,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
             t0 = time.perf_counter()
             extract_features(mask, cfg, timings=stages)
             totals.append((time.perf_counter() - t0) * 1000.0)
-            for s in _STAGES:
+            for s in STAGES:
                 per_stage[s].append(stages.get(s, 0.0) * 1000.0)
 
     def mean(v: list[float]) -> float:
@@ -485,7 +485,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
         s = sorted(v)
         return s[min(len(s) - 1, math.ceil(0.95 * len(s)) - 1)]
 
-    for s in _STAGES:
+    for s in STAGES:
         print(f"{s},{mean(per_stage[s]):.3f},{p95(per_stage[s]):.3f}")
     print(f"total,{mean(totals):.3f},{p95(totals):.3f}")
     return 0
@@ -522,7 +522,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", metavar="PATH", help="write the JSON report here")
     p.add_argument("--truth", metavar="PATH",
                    help="ground-truth manifest; adds accuracy to the summary")
-    p.add_argument("--reject-frac", dest="reject_frac", type=float, default=0.1,
+    p.add_argument("--reject-frac", dest="reject_frac", type=float, default=REJECT_FRAC,
                    help="unknown when distance exceeds this fraction of the "
                         "major axis (inf to disable)")
     p.set_defaults(func=cmd_identify)

@@ -31,6 +31,9 @@ log = logging.getLogger(__name__)
 # being confused by perspective shortening across the work area.
 COLLISION_FRAC = 0.014
 
+# A match further than this fraction of the query's major axis is unknown.
+REJECT_FRAC = 0.1
+
 _TABLE_HEADER = "name,width_px,height_px,threading"
 
 
@@ -90,7 +93,7 @@ def nearest_match(
     features: BoltFeatures,
     table: LookupTable,
     *,
-    reject_frac: float = 0.1,
+    reject_frac: float = REJECT_FRAC,
 ) -> MatchResult:
     """Match measured features against the table by Euclidean distance.
 
@@ -128,7 +131,7 @@ def nearest_match(
 
 def enroll(
     samples: Sequence[tuple[str, BinaryImage]],
-    cfg: PipelineConfig | None = None,
+    cfg: PipelineConfig = PipelineConfig(),
     *,
     px_per_mm: float = DEFAULT_PX_PER_MM,
 ) -> LookupTable:
@@ -140,8 +143,6 @@ def enroll(
     templates closer than 1.4% in both dimensions are logged as
     collisions but still accepted.
     """
-    if cfg is None:
-        cfg = PipelineConfig()
     if not px_per_mm > 0.0:
         raise ParameterError(f"px_per_mm must be > 0, got {px_per_mm}")
     if not samples:

@@ -106,11 +106,6 @@ class Component(NamedTuple):
     area: int
 
 
-def count_white(img: BinaryImage) -> int:
-    """Number of foreground pixels."""
-    return int(np.count_nonzero(img.px))
-
-
 def otsu_level(img: GrayImage) -> int:
     """Threshold level maximising between-class variance.
 

@@ -50,6 +50,9 @@ class ThreadingType(enum.Enum):
 class PipelineConfig:
     """Tunable pipeline constants; defaults match the reference setup.
 
+    The stages take the config they run under and read their constants
+    from it, so each default and range check lives here alone.
+
     thresh            extra columns discarded past the detected shoulder
     nudge             scan row used by the pitch estimate
     perim_ratio       right/left perimeter ratio that signals half threading
@@ -233,28 +236,20 @@ def measure_axes(bolt: OrientedBolt) -> tuple[float, float]:
 
 
 def remove_head(
-    bolt: OrientedBolt,
-    thresh: int = 5,
-    *,
-    d: float | None = None,
-    head_frac: float = 0.2,
+    bolt: OrientedBolt, d: float, cfg: PipelineConfig = PipelineConfig()
 ) -> HeadCut:
-    """Find the head/body shoulder and cut thresh columns past it.
+    """Find the head/body shoulder and cut cfg.thresh columns past it.
 
     A column c counts as body when the cross width of the image right of c,
     the span from the profile's highest top to its lowest bottom there, is
     closer to the shank diameter d than to the head width; the cut is the
-    first such column in [0, head_frac * length].  A headless silhouette
-    (or a search that never sees the transition) cuts at thresh and sets
-    no_shoulder.
+    first such column in [0, cfg.head_frac * length].  A headless
+    silhouette (or a search that never sees the transition) cuts at
+    cfg.thresh and sets no_shoulder.
     """
-    if thresh < 0:
-        raise ParameterError(f"thresh must be >= 0, got {thresh}")
-    if d is None:
-        d = measure_axes(bolt)[1]
     l = bolt.img.width
     w = float(bolt.img.height)
-    bound = min(int(head_frac * l), l - 1)
+    bound = min(int(cfg.head_frac * l), l - 1)
     cols, top, bot = bolt.profile
     lo = np.minimum.accumulate(top[::-1])[::-1]
     hi = np.maximum.accumulate(bot[::-1])[::-1]
@@ -264,30 +259,24 @@ def remove_head(
     is_body = np.abs(wp - d) < np.abs(wp - w)
     no_shoulder = bool(is_body[0]) or not bool(is_body[-1])
     h_star = 0 if no_shoulder else int(np.argmax(is_body))
-    h = h_star + thresh
+    h = h_star + cfg.thresh
     if h >= l:
         raise MalformedBoltError(f"cut at {h} leaves no body (length {l})")
     return HeadCut(h=h, no_shoulder=no_shoulder)
 
 
 def classify_threading(
-    bolt: OrientedBolt,
-    h: int,
-    d: float,
-    *,
-    tol: float = 1.5,
-    perim_ratio: float = 1.15,
-    fill_frac: float = 0.97,
+    bolt: OrientedBolt, h: int, d: float, cfg: PipelineConfig = PipelineConfig()
 ) -> ThreadingType:
     """Classify the body, the upright columns from h on, as fully or half
     threaded.
 
     Half threading fires on any of three signs read off the column profile
     of the two halves of the body (threads grow toward the tip, so a plain
-    barrel occupies the left half): left top and bottom points that dent
-    no deeper than tol inside their hull, a right profile loop more than
-    perim_ratio times as long as the left one, or a left half filling at
-    least fill_frac of its d x length box.
+    barrel occupies the left half): left top and bottom points that form a
+    convex contour (geometry.is_contour_convex), a right profile loop more
+    than cfg.perim_ratio times as long as the left one, or a left half
+    filling at least cfg.fill_frac of its d x length box.
     """
     wdt = bolt.img.width - h
     if wdt < 4:
@@ -301,40 +290,36 @@ def classify_threading(
         raise InsufficientDataError("half of the body is blank")
     lx = cols[left]
     edge = np.column_stack([np.r_[lx, lx], np.r_[top[left], bot[left]]])
-    if is_contour_convex(edge, tol):
+    if is_contour_convex(edge):
         return ThreadingType.HALF
     pl = loop_length(top[left], bot[left])
     pr = loop_length(top[~left], bot[~left])
-    if pr > perim_ratio * pl:
+    if pr > cfg.perim_ratio * pl:
         return ThreadingType.HALF
-    if bolt.counts[h : h + mid].sum() >= fill_frac * d * mid:
+    if bolt.counts[h : h + mid].sum() >= cfg.fill_frac * d * mid:
         return ThreadingType.HALF
     return ThreadingType.FULL
 
 
 def estimate_pitch(
-    bolt: OrientedBolt, h: int, nudge: int = 2, *, slice_frac: float = 0.3
+    bolt: OrientedBolt, h: int, cfg: PipelineConfig = PipelineConfig()
 ) -> PitchTrace:
     """Read the thread pitch off a scan row near the top of the tip slice.
 
-    The rightmost slice_frac of the body, the upright columns from h on,
-    is squared up on its own rect, then the row `nudge` rows below the top
-    edge is run-length scanned.  Single-pixel holes are filled first:
-    nearest-neighbor resampling can punch them through a crest run,
-    splitting it in two, while genuine inter-crest gaps are always wider.
-    A wider noise hole still splits a crest, so runs whose gap is under a
-    quarter of the median gap are joined next.  Runs within 2 px of either
-    slice edge are truncated crests and are dropped; losing a whole end
-    crest is harmless because the surviving centers stay exactly one
-    pitch apart.  The centers of the m surviving runs give a, b and
-    n = 2 * (m - 1); fewer than 3 runs cannot support an estimate.
+    The rightmost cfg.thread_slice_frac of the body, the upright columns
+    from h on, is squared up on its own rect, then the row cfg.nudge rows
+    below the top edge is run-length scanned.  Single-pixel holes are
+    filled first: nearest-neighbor resampling can punch them through a
+    crest run, splitting it in two, while genuine inter-crest gaps are
+    always wider.  A wider noise hole still splits a crest, so runs whose
+    gap is under a quarter of the median gap are joined next.  Runs within
+    2 px of either slice edge are truncated crests and are dropped; losing
+    a whole end crest is harmless because the surviving centers stay
+    exactly one pitch apart.  The centers of the m surviving runs give a,
+    b and n = 2 * (m - 1); fewer than 3 runs cannot support an estimate.
     """
-    if nudge < 0:
-        raise ParameterError(f"nudge must be >= 0, got {nudge}")
-    if not 0 < slice_frac <= 1:
-        raise ParameterError(f"slice_frac must lie in (0, 1], got {slice_frac}")
     l = bolt.img.width
-    k = max(1, int(round((l - h) * slice_frac)))
+    k = max(1, int(round((l - h) * cfg.thread_slice_frac)))
     sl = crop(bolt.img, AxisRect(l - k, 0, k, bolt.img.height))
     rect = rect_of_mask(sl)
     up = warp_to_upright(sl, rect)
@@ -343,11 +328,11 @@ def estimate_pitch(
     # than by the output aspect
     if rect.angle <= -45.0:
         up = _rot90_cw(up)
-    if nudge >= up.height:
+    if cfg.nudge >= up.height:
         raise InsufficientCrestsError(
-            f"scan row {nudge} lies outside the slice (height {up.height})"
+            f"scan row {cfg.nudge} lies outside the slice (height {up.height})"
         )
-    row = up.px[nudge].copy()
+    row = up.px[cfg.nudge].copy()
     if row.size >= 3:
         row[1:-1] |= row[:-2] & row[2:]
     edges = np.diff(np.concatenate([[0], row.view(np.int8), [0]]))
@@ -361,10 +346,14 @@ def estimate_pitch(
     m = int(interior.sum())
     if m < 3:
         raise InsufficientCrestsError(
-            f"only {m} interior crest runs on scan row {nudge}"
+            f"only {m} interior crest runs on scan row {cfg.nudge}"
         )
     centers = (starts[interior] + ends[interior]) / 2.0
     return PitchTrace(float(centers[0]), float(centers[-1]), 2 * (m - 1))
+
+
+# extract_features' stage names, in the order they run
+STAGES = ("orient", "axes", "area", "perimeter", "head", "threading", "pitch")
 
 
 def extract_features(
@@ -396,29 +385,12 @@ def extract_features(
     major, minor = run("axes", lambda: measure_axes(bolt))
     area = run("area", lambda: int(bolt.counts.sum()))
     perimeter = run("perimeter", lambda: loop_length(*bolt.profile[1:]))
-    cut = run(
-        "head",
-        lambda: remove_head(bolt, cfg.thresh, d=minor, head_frac=cfg.head_frac),
-    )
-    threading = run(
-        "threading",
-        lambda: classify_threading(
-            bolt,
-            cut.h,
-            minor,
-            perim_ratio=cfg.perim_ratio,
-            fill_frac=cfg.fill_frac,
-        ),
-    )
+    cut = run("head", lambda: remove_head(bolt, minor, cfg))
+    threading = run("threading", lambda: classify_threading(bolt, cut.h, minor, cfg))
     pitch = None
     if major > cfg.min_pitch_len_px:
         try:
-            pitch = run(
-                "pitch",
-                lambda: estimate_pitch(
-                    bolt, cut.h, cfg.nudge, slice_frac=cfg.thread_slice_frac
-                ),
-            ).pitch_px
+            pitch = run("pitch", lambda: estimate_pitch(bolt, cut.h, cfg)).pitch_px
         except StageError as exc:
             if not isinstance(exc.cause, InsufficientCrestsError):
                 raise

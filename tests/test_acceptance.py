@@ -35,6 +35,7 @@ from boltvision.imagecore import (
     write_pgm,
 )
 from boltvision.pipeline import (
+    PipelineConfig,
     PitchTrace,
     ThreadingType,
     classify_threading,
@@ -170,9 +171,9 @@ def test_c3_pitch_accuracy(catalog, capsys):
             continue
         bolt = orient(_largest_mask(img))
         _, minor = measure_axes(bolt)
-        h = remove_head(bolt, 5, d=minor).h
+        h = remove_head(bolt, minor).h
         for nudge in (1, 2, 3, 4):
-            trace = estimate_pitch(bolt, h, nudge)
+            trace = estimate_pitch(bolt, h, PipelineConfig(nudge=nudge))
             worst = max(worst, abs(trace.pitch_px - truth.pitch_px))
             cases += 1
     ok = cases > 0 and worst <= 0.87
@@ -188,9 +189,9 @@ def test_c4_shoulder_recovery(sweep, capsys):
     for spec, angle, bolt, truth in sweep:
         _, minor = measure_axes(bolt)
         sh = truth.shoulder_col_px
-        exact = remove_head(bolt, 0, d=minor)
+        exact = remove_head(bolt, minor, PipelineConfig(thresh=0))
         worst = max(worst, abs(exact.h - sh))
-        cut = remove_head(bolt, 5, d=minor)
+        cut = remove_head(bolt, minor)
         if not sh <= cut.h <= sh + 7.0:
             window_ok = False
         if cut.h > 0.2 * bolt.img.width + 5:
@@ -206,7 +207,7 @@ def test_c5_threading_accuracy(sweep, noisy_run, capsys):
     clean_ok = 0
     for spec, angle, bolt, truth in sweep:
         _, minor = measure_axes(bolt)
-        h = remove_head(bolt, 5, d=minor).h
+        h = remove_head(bolt, minor).h
         if classify_threading(bolt, h, minor) is spec.threading:
             clean_ok += 1
     records, _ = noisy_run

@@ -23,7 +23,6 @@ from boltvision.imagecore import (
     BinaryImage,
     PixelPoint,
     connected_components,
-    count_white,
     crop,
 )
 
@@ -331,7 +330,7 @@ def test_warp_preserves_count_for_upright_rect():
     px[4:16, 3:23] = True
     img = BinaryImage(px)
     out = warp_to_upright(img, rect_of_mask(img))
-    assert count_white(out) == count_white(img)
+    assert np.count_nonzero(out.px) == np.count_nonzero(img.px)
 
 
 def test_warp_disc_area():
@@ -339,7 +338,7 @@ def test_warp_disc_area():
     disc = BinaryImage((xx - 50.0) ** 2 + (yy - 50.0) ** 2 <= 40.0**2)
     r = RotatedRect(center=(50.5, 50.5), size_w=90.0, size_h=90.0, angle=-37.0)
     out = warp_to_upright(disc, r)
-    assert count_white(out) == pytest.approx(math.pi * 40.0**2, rel=0.03)
+    assert np.count_nonzero(out.px) == pytest.approx(math.pi * 40.0**2, rel=0.03)
 
 
 def test_warp_30deg_counts_match_upright():
@@ -349,7 +348,7 @@ def test_warp_30deg_counts_match_upright():
     flat, _ = render_bolt(spec, RenderParams(600, 600, PixelPoint(300, 300)))
     tilted, _ = render_bolt(spec, RenderParams(600, 600, PixelPoint(300, 300), angle_deg=30.0))
     up = warp_to_upright(tilted, rect_of_mask(tilted))
-    assert count_white(up) == pytest.approx(count_white(flat), rel=0.02)
+    assert np.count_nonzero(up.px) == pytest.approx(np.count_nonzero(flat.px), rel=0.02)
 
 
 def test_warp_zero_size_rect():

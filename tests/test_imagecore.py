@@ -15,7 +15,6 @@ from boltvision.imagecore import (
     GrayImage,
     PixelPoint,
     connected_components,
-    count_white,
     crop,
     otsu_level,
     read_binary_pgm,
@@ -57,13 +56,13 @@ def test_images_compare_by_content():
 def test_fixed_level_all_above():
     img = GrayImage(np.full((4, 4), 200, np.uint8))
     out = threshold(img, level=128)
-    assert count_white(out) == 16
+    assert np.count_nonzero(out.px) == 16
 
 
 def test_fixed_level_all_below():
     img = GrayImage(np.zeros((4, 4), np.uint8))
     out = threshold(img, level=128)
-    assert count_white(out) == 0
+    assert np.count_nonzero(out.px) == 0
 
 
 def test_fixed_level_validates_range():
@@ -118,19 +117,10 @@ def test_threshold_monotone(img, t):
     assert not np.any(hi & ~lo)
 
 
-# -- count_white -------------------------------------------------------------
-
-def test_count_all_black():
-    assert count_white(solid(10, 10, False)) == 0
-
+# -- white count -------------------------------------------------------------
 
 def test_count_region():
-    assert count_white(crop(solid(10, 10), AxisRect(0, 0, 5, 5))) == 25
-
-
-def test_count_region_out_of_bounds():
-    with pytest.raises(BoundsError):
-        count_white(crop(solid(4, 4), AxisRect(2, 2, 4, 4)))
+    assert np.count_nonzero(crop(solid(10, 10), AxisRect(0, 0, 5, 5)).px) == 25
 
 
 def test_count_matches_renderer():
@@ -138,7 +128,7 @@ def test_count_matches_renderer():
 
     spec = standard_catalog()[0]
     img, truth = render_bolt(spec, RenderParams(900, 900, PixelPoint(450, 450)))
-    assert count_white(img) == truth.white_count
+    assert np.count_nonzero(img.px) == truth.white_count
 
 
 # -- connected components ----------------------------------------------------
@@ -153,7 +143,7 @@ def test_components_single_pixel():
     comps = connected_components(BinaryImage(px))
     assert len(comps) == 1
     assert comps[0].rect == AxisRect(3, 2, 1, 1)
-    assert count_white(comps[0].mask) == 1
+    assert np.count_nonzero(comps[0].mask.px) == 1
 
 
 def _diagonal() -> np.ndarray:
@@ -250,10 +240,10 @@ def test_components_partition_white_set(img, min_area):
         sub[c.rect.y : c.rect.y + c.rect.h, c.rect.x : c.rect.x + c.rect.w] = c.mask.px
         assert not np.any(union & sub), "masks overlap"
         union |= sub
-        assert c.area == count_white(c.mask)
+        assert c.area == np.count_nonzero(c.mask.px)
         total += c.area
     assert np.array_equal(union, img.px)
-    assert total == count_white(img)
+    assert total == np.count_nonzero(img.px)
 
 
 @given(binary_images)
@@ -284,14 +274,14 @@ def test_crop_right_half_count_matches_region_count():
     cat = {s.name: s for s in standard_catalog()}
     img, _ = render_bolt(cat["M8x35_HT"], RenderParams(500, 500, PixelPoint(250, 250)))
     region = AxisRect(250, 0, 250, 500)
-    assert count_white(crop(img, region)) == np.count_nonzero(img.px, axis=0)[250:].sum()
+    assert np.count_nonzero(crop(img, region).px) == np.count_nonzero(img.px, axis=0)[250:].sum()
 
 
 def test_rotate180_corner_pixel():
     px = np.zeros((5, 5), bool)
     px[0, 0] = True
     out = rotate180(BinaryImage(px))
-    assert out.px[4, 4] and count_white(out) == 1
+    assert out.px[4, 4] and np.count_nonzero(out.px) == 1
 
 
 def test_rotate180_symmetric_image():

@@ -1,9 +1,11 @@
 from __future__ import annotations
 
 import ast
+import inspect
 from pathlib import Path
 
 import boltvision
+from boltvision import pipeline
 
 
 def test_all_names_resolve_without_duplicates():
@@ -27,4 +29,15 @@ def test_no_private_imports_across_modules():
             if node.level == 0 and not (node.module or "").startswith("boltvision"):
                 continue
             found += [f"{path.name}: {a.name}" for a in node.names if a.name.startswith("_")]
+    assert found == []
+
+
+def test_stages_take_their_constants_from_the_config():
+    # PipelineConfig is the one home of a stage constant's default and check
+    found = [
+        f"{fn.__name__}({p.name})"
+        for fn in (pipeline.remove_head, pipeline.classify_threading, pipeline.estimate_pitch)
+        for p in inspect.signature(fn).parameters.values()
+        if p.name != "cfg" and p.default is not p.empty
+    ]
     assert found == []

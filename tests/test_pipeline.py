@@ -14,14 +14,15 @@ from boltvision.errors import (
     StageError,
 )
 from boltvision import pipeline
+from boltvision.geometry import loop_length
 from boltvision.imagecore import (
     BinaryImage,
     PixelPoint,
     connected_components,
-    count_white,
     rotate180,
 )
 from boltvision.pipeline import (
+    STAGES,
     BoltFeatures,
     OrientedBolt,
     PipelineConfig,
@@ -88,7 +89,7 @@ def test_orient_flips_head_right():
     mask, _ = render_mask("M8x35_HT")
     flipped, _ = render_mask("M8x35_HT", angle=180.0)
     bolt = orient(flipped)
-    assert count_white(bolt.img) == count_white(mask)
+    assert np.count_nonzero(bolt.img.px) == np.count_nonzero(mask.px)
     half = bolt.img.width // 2
     left = int(bolt.img.px[:, :half].sum())
     right = int(bolt.img.px[:, bolt.img.width - half :].sum())
@@ -157,14 +158,16 @@ def test_measure_solid_bar():
 
 def test_shoulder_recovered_no_thresh():
     mask, truth = render_mask("M10x50_HT")
-    cut = remove_head(orient(mask), thresh=0)
+    bolt = orient(mask)
+    cut = remove_head(bolt, measure_axes(bolt)[1], PipelineConfig(thresh=0))
     assert not cut.no_shoulder
     assert cut.h == pytest.approx(truth.shoulder_col_px, abs=2.0)
 
 
 def test_shoulder_with_default_thresh():
     mask, truth = render_mask("M10x50_HT")
-    cut = remove_head(orient(mask), thresh=5)
+    bolt = orient(mask)
+    cut = remove_head(bolt, measure_axes(bolt)[1])
     sh = truth.shoulder_col_px
     assert sh <= cut.h <= sh + 7.0
 
@@ -173,22 +176,16 @@ def test_cut_bounded_by_head_frac():
     for name in ("M5x12_FT", "M12x75_HT"):
         mask, _ = render_mask(name)
         bolt = orient(mask)
-        cut = remove_head(bolt, thresh=5)
+        cut = remove_head(bolt, measure_axes(bolt)[1])
         assert cut.h <= 0.2 * bolt.img.width + 5
 
 
 def test_headless_cylinder_flagged():
     bolt = orient(solid_rect(300, 60))
-    cut = remove_head(bolt, thresh=5)
+    cut = remove_head(bolt, measure_axes(bolt)[1])
     assert cut.no_shoulder
     assert bolt.img.width - cut.h >= 300 - 5
     assert cut.h == 5
-
-
-def test_remove_head_rejects_negative_thresh():
-    mask, _ = render_mask("M8x20_FT")
-    with pytest.raises(ParameterError):
-        remove_head(orient(mask), thresh=-1)
 
 
 # -- threading ---------------------------------------------------------------
@@ -197,7 +194,7 @@ def _body(name: str, angle: float = 0.0) -> tuple[OrientedBolt, int, float]:
     mask, _ = render_mask(name, angle)
     bolt = orient(mask)
     major, minor = measure_axes(bolt)
-    return bolt, remove_head(bolt, thresh=5, d=minor).h, minor
+    return bolt, remove_head(bolt, minor).h, minor
 
 
 def test_full_thread_classified():
@@ -375,14 +372,34 @@ def test_features_pinned_on_fixed_renders():
 def test_body_area_below_full_area():
     mask, _ = render_mask("M10x35_FT")
     bolt = orient(mask)
-    cut = remove_head(bolt, thresh=5)
+    cut = remove_head(bolt, measure_axes(bolt)[1])
     assert bolt.counts[cut.h :].sum() <= bolt.counts.sum()
+
+
+def test_extract_passes_config_to_every_stage():
+    # non-default values for every field a stage reads; on these renders
+    # dropping cfg from any one stage call changes the features
+    cfg = PipelineConfig(thresh=0, nudge=3, head_frac=0.3, thread_slice_frac=0.25,
+                         perim_ratio=1.3, fill_frac=0.9)
+    for name, angle in (("M6x30_FT", 0.0), ("M5x50_HT", 30.0),
+                        ("M10x35_FT", 30.0), ("M6x16_FT", 0.0)):
+        mask, _ = render_mask(name, angle)
+        bolt = orient(mask)
+        major, minor = measure_axes(bolt)
+        h = remove_head(bolt, minor, cfg).h
+        pitch = None
+        if major > cfg.min_pitch_len_px:
+            pitch = estimate_pitch(bolt, h, cfg).pitch_px
+        by_hand = BoltFeatures(
+            major, minor, classify_threading(bolt, h, minor, cfg), pitch,
+            int(bolt.counts.sum()), loop_length(*bolt.profile[1:]),
+        )
+        assert extract_features(mask, cfg) == by_hand, (name, angle)
 
 
 def test_extract_timings_cover_stages():
     mask, _ = render_mask("M10x50_HT")
     timings: dict[str, float] = {}
     extract_features(mask, timings=timings)
-    for stage in ("orient", "axes", "area", "perimeter", "head", "threading", "pitch"):
-        assert stage in timings
-        assert timings[stage] >= 0.0
+    assert tuple(timings) == STAGES
+    assert all(t >= 0.0 for t in timings.values())

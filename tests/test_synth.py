@@ -12,7 +12,6 @@ from boltvision.imagecore import (
     BinaryImage,
     PixelPoint,
     connected_components,
-    count_white,
     write_binary_pgm,
 )
 from boltvision.pipeline import ThreadingType
@@ -114,7 +113,7 @@ def test_render_half_turn_symmetry():
     spec = spec_named("M10x35_FT")
     a, _ = render_bolt(spec, centered_params(spec, 0.0))
     b, _ = render_bolt(spec, centered_params(spec, 180.0))
-    assert count_white(b) == pytest.approx(count_white(a), rel=0.005)
+    assert np.count_nonzero(b.px) == pytest.approx(np.count_nonzero(a.px), rel=0.005)
 
 
 def test_render_deterministic():
@@ -128,7 +127,7 @@ def test_render_deterministic():
 def test_render_truth_white_count_and_placement():
     spec = spec_named("M8x20_FT")
     img, truth = render_bolt(spec, centered_params(spec, 40.0))
-    assert truth.white_count == count_white(img)
+    assert truth.white_count == np.count_nonzero(img.px)
     comps = connected_components(img)
     assert len(comps) == 1
     assert comps[0].rect == truth.placement
@@ -182,7 +181,7 @@ def test_noise_rejects_out_of_range():
 def test_noise_flip_count_binomial():
     img = BinaryImage(np.zeros((1000, 1000), bool))
     out = add_noise(img, 0.01, seed=12)
-    flips = count_white(out)
+    flips = np.count_nonzero(out.px)
     n, p = 1_000_000, 0.01
     sigma = math.sqrt(n * p * (1 - p))
     assert abs(flips - n * p) <= 3 * sigma
