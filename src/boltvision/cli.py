@@ -14,11 +14,13 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import itertools
 import json
 import math
 import os
 import sys
 import time
+from collections.abc import Iterator
 
 import numpy as np
 
@@ -27,7 +29,6 @@ from .errors import (
     ConfigError,
     CsvFormatError,
     EmptyInputError,
-    EnrollmentError,
     ParameterError,
     PgmFormatError,
     ReportFormatError,
@@ -35,8 +36,8 @@ from .errors import (
 )
 from .identify import REJECT_FRAC, LookupTable, enroll, load_table, nearest_match, save_table
 from .imagecore import (
-    AxisRect,
     BinaryImage,
+    Component,
     PixelPoint,
     connected_components,
     read_pgm,
@@ -44,7 +45,7 @@ from .imagecore import (
     write_binary_pgm,
 )
 from .pipeline import DEFAULT_PX_PER_MM, STAGES, BoltFeatures, PipelineConfig, extract_features
-from .synth import RenderParams, load_catalog, render_bolt, standard_catalog
+from .synth import BoltSpec, RenderParams, load_catalog, render_bolt, standard_catalog
 
 REPORT_SCHEMA = "boltvision-report/1"
 
@@ -106,10 +107,17 @@ def build_config(path: str | None, sets: list[str]) -> PipelineConfig:
 
 # -- shared plumbing ---------------------------------------------------------
 
-def _load_binary(path: str) -> BinaryImage:
+def _parts(path: str, cfg: PipelineConfig) -> list[Component]:
+    """The components of a PGM frame at or above cfg's area floor.
+
+    A frame with none raises EmptyInputError naming the path.
+    """
     with open(path, "rb") as fh:
-        data = fh.read()
-    return threshold(read_pgm(data))
+        img = threshold(read_pgm(fh.read()))
+    comps = connected_components(img, cfg.min_component_area)
+    if not comps:
+        raise EmptyInputError(f"no component above the area floor in {path}")
+    return comps
 
 
 def _read_manifest(path: str) -> list[dict[str, str]]:
@@ -151,8 +159,7 @@ def _feature_dict(f: BoltFeatures, ppm: float) -> dict:
 
 
 def _component_report(
-    path: str, index: int, rect: AxisRect | None, mask: BinaryImage,
-    cfg: PipelineConfig, ppm: float,
+    path: str, index: int, comp: Component, cfg: PipelineConfig, ppm: float,
     *, table: LookupTable | None = None, reject_frac: float | None = None,
 ) -> tuple[dict, dict, StageError | None]:
     """Measure one component: its report record, timing row and failure.
@@ -161,16 +168,16 @@ def _component_report(
     than raised.  With a table the features are also matched, rejecting
     beyond reject_frac.
     """
+    rect = comp.rect
     rec = {
-        "path": path, "component": index,
-        "rect": None if rect is None else [rect.x, rect.y, rect.w, rect.h],
+        "path": path, "component": index, "rect": [rect.x, rect.y, rect.w, rect.h],
         "features": None, "match": None, "error": None,
     }
     stages: dict[str, float] = {}
     err = None
     t0 = time.perf_counter()
     try:
-        feats = extract_features(mask, cfg, timings=stages)
+        feats = extract_features(comp.mask, cfg, timings=stages)
     except StageError as exc:
         err = exc
         rec["error"] = str(exc)
@@ -247,10 +254,7 @@ def cmd_enroll(args: argparse.Namespace) -> int:
         path = os.path.join(base, row["file"])
         if not os.path.isfile(path):
             raise ConfigError(f"manifest names a missing file: {row['file']}")
-        comps = connected_components(_load_binary(path), cfg.min_component_area)
-        if not comps:
-            raise EnrollmentError(name, "no component above the area floor")
-        samples.append((name, max(comps, key=lambda c: c.area).mask))
+        samples.append((name, max(_parts(path, cfg), key=lambda c: c.area).mask))
 
     table = enroll(samples, cfg, px_per_mm=ppm)
     with open(args.out, "wb") as fh:
@@ -281,7 +285,10 @@ def cmd_identify(args: argparse.Namespace) -> int:
     failed_files = 0
     for path in args.images:
         try:
-            img = _load_binary(path)
+            comps = _parts(path, cfg)
+        except EmptyInputError:
+            print(f"warning: no components in {path}", file=sys.stderr)
+            continue
         except (OSError, PgmFormatError) as exc:
             records.append({
                 "path": path, "component": None, "rect": None,
@@ -289,14 +296,9 @@ def cmd_identify(args: argparse.Namespace) -> int:
             })
             failed_files += 1
             continue
-        comps = connected_components(img, cfg.min_component_area)
-        if not comps:
-            print(f"warning: no components in {path}", file=sys.stderr)
-            continue
         for i, comp in enumerate(comps):
             rec, row, _ = _component_report(
-                path, i, comp.rect, comp.mask, cfg, ppm,
-                table=table, reject_frac=args.reject_frac,
+                path, i, comp, cfg, ppm, table=table, reject_frac=args.reject_frac,
             )
             records.append(rec)
             timing_rows.append(row)
@@ -356,16 +358,9 @@ def cmd_identify(args: argparse.Namespace) -> int:
 def cmd_measure(args: argparse.Namespace) -> int:
     cfg = build_config(args.config, args.set)
     ppm = args.px_per_mm if args.px_per_mm is not None else DEFAULT_PX_PER_MM
-    img = _load_binary(args.image)
-    comps = connected_components(img, cfg.min_component_area)
-    if comps:
-        idx = max(range(len(comps)), key=lambda i: comps[i].area)
-        mask, rect = comps[idx].mask, comps[idx].rect
-    else:
-        # let the pipeline report the canonical empty-input failure
-        idx, mask, rect = 0, img, None
-
-    record, row, err = _component_report(args.image, idx, rect, mask, cfg, ppm)
+    comps = _parts(args.image, cfg)
+    idx = max(range(len(comps)), key=lambda i: comps[i].area)
+    record, row, err = _component_report(args.image, idx, comps[idx], cfg, ppm)
     if err is not None:
         raise err
     f = record["features"]
@@ -383,6 +378,31 @@ def cmd_measure(args: argparse.Namespace) -> int:
         _write_report(make_report("measure", cfg, ppm, [record], summary, timings),
                       args.json)
     return 0
+
+
+def _renders(
+    args: argparse.Namespace, catalog: list[BoltSpec],
+) -> Iterator[tuple[str, BoltSpec, float, int, int, int, int]]:
+    """(file, spec, angle, pad, dx, dy, seed) for each frame gen writes.
+
+    The sweep draws every spec at evenly spaced angles, centred on a
+    square canvas 10 px wider than the part's diagonal.  Random mode
+    draws spec, angle, centre offset and render seed, in that order, from
+    one generator seeded by --seed, on a canvas 40 px wider.
+    """
+    if args.count is None:
+        for i, (spec, k) in enumerate(itertools.product(catalog, range(args.angles))):
+            angle = 360.0 * k / args.angles
+            fname = f"{spec.name}_a{int(round(angle)) % 360:03d}.pgm"
+            yield fname, spec, angle, 10, 0, 0, args.seed + i
+        return
+    rng = np.random.default_rng(args.seed)
+    for i in range(args.count):
+        spec = catalog[int(rng.integers(len(catalog)))]
+        angle = float(rng.uniform(0.0, 360.0))
+        dx = int(rng.integers(-12, 13))
+        dy = int(rng.integers(-12, 13))
+        yield f"{i:04d}_{spec.name}.pgm", spec, angle, 40, dx, dy, int(rng.integers(2**31))
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
@@ -405,45 +425,16 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
     os.makedirs(args.out, exist_ok=True)
     rows: list[tuple[str, str, float, float]] = []
-
-    if args.count is None:
-        # full sweep: every spec at evenly spaced angles
-        idx = 0
-        for spec in catalog:
-            diag = math.hypot(spec.length_mm * ppm, spec.head_width_mm * ppm)
-            side = math.ceil(diag) + 10
-            for k in range(args.angles):
-                angle = 360.0 * k / args.angles
-                params = RenderParams(
-                    side, side, PixelPoint(side // 2, side // 2),
-                    angle_deg=angle, px_per_mm=ppm,
-                    noise=args.noise, seed=args.seed + idx,
-                )
-                img, _ = render_bolt(spec, params)
-                fname = f"{spec.name}_a{int(round(angle)) % 360:03d}.pgm"
-                with open(os.path.join(args.out, fname), "wb") as fh:
-                    fh.write(write_binary_pgm(img))
-                rows.append((fname, spec.name, angle, args.noise))
-                idx += 1
-    else:
-        rng = np.random.default_rng(args.seed)
-        for i in range(args.count):
-            spec = catalog[int(rng.integers(len(catalog)))]
-            angle = float(rng.uniform(0.0, 360.0))
-            diag = math.hypot(spec.length_mm * ppm, spec.head_width_mm * ppm)
-            side = math.ceil(diag) + 40
-            cx = side // 2 + int(rng.integers(-12, 13))
-            cy = side // 2 + int(rng.integers(-12, 13))
-            params = RenderParams(
-                side, side, PixelPoint(cx, cy),
-                angle_deg=angle, px_per_mm=ppm,
-                noise=args.noise, seed=int(rng.integers(2**31)),
-            )
-            img, _ = render_bolt(spec, params)
-            fname = f"{i:04d}_{spec.name}.pgm"
-            with open(os.path.join(args.out, fname), "wb") as fh:
-                fh.write(write_binary_pgm(img))
-            rows.append((fname, spec.name, angle, args.noise))
+    for fname, spec, angle, pad, dx, dy, seed in _renders(args, catalog):
+        side = math.ceil(math.hypot(spec.length_mm * ppm, spec.head_width_mm * ppm)) + pad
+        params = RenderParams(
+            side, side, PixelPoint(side // 2 + dx, side // 2 + dy),
+            angle_deg=angle, px_per_mm=ppm, noise=args.noise, seed=seed,
+        )
+        img, _ = render_bolt(spec, params)
+        with open(os.path.join(args.out, fname), "wb") as fh:
+            fh.write(write_binary_pgm(img))
+        rows.append((fname, spec.name, angle, args.noise))
 
     manifest = "file,name,angle_deg,noise\n" + "".join(
         f"{f},{n},{a!r},{z!r}\n" for f, n, a, z in rows
@@ -460,12 +451,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     if args.reps < 1:
         raise ParameterError(f"--reps must be >= 1, got {args.reps}")
 
-    masks: list[BinaryImage] = []
-    for path in args.images:
-        comps = connected_components(_load_binary(path), cfg.min_component_area)
-        if not comps:
-            raise EmptyInputError(f"no component above the area floor in {path}")
-        masks.append(max(comps, key=lambda c: c.area).mask)
+    masks = [max(_parts(path, cfg), key=lambda c: c.area).mask for path in args.images]
 
     per_stage: dict[str, list[float]] = {s: [] for s in STAGES}
     totals: list[float] = []
@@ -505,11 +491,14 @@ def build_parser() -> argparse.ArgumentParser:
                         help="pipeline config file, flat key=value lines")
         sp.add_argument("--set", metavar="KEY=VALUE", action="append", default=[],
                         help="override one config key (repeatable)")
+
+    def scale(sp: argparse.ArgumentParser) -> None:
         sp.add_argument("--px-per-mm", dest="px_per_mm", type=float, default=None,
                         help="pixels per millimeter for mm conversions")
 
     p = sub.add_parser("enroll", help="build a lookup table from labeled images")
     common(p)
+    scale(p)
     p.add_argument("--manifest", required=True,
                    help="CSV mapping file,name; paths relative to the manifest")
     p.add_argument("--out", required=True, help="lookup table CSV to write")
@@ -517,6 +506,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("identify", help="match frames against a lookup table")
     common(p)
+    scale(p)
     p.add_argument("images", nargs="+", help="PGM frames to identify")
     p.add_argument("--table", required=True, help="lookup table CSV")
     p.add_argument("--json", metavar="PATH", help="write the JSON report here")
@@ -529,6 +519,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("measure", help="report features for a single part")
     common(p)
+    scale(p)
     p.add_argument("image", help="PGM frame holding one part")
     p.add_argument("--json", metavar="PATH", help="write the JSON report here")
     p.set_defaults(func=cmd_measure)
@@ -544,7 +535,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--noise", type=float, default=0.0,
                    help="salt-and-pepper flip rate (default 0)")
     p.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
-    p.add_argument("--px-per-mm", dest="px_per_mm", type=float, default=None)
+    scale(p)
     p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("bench", help="time the extraction stages")
@@ -564,10 +555,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ConfigError, ParameterError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except BoltVisionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (BoltVisionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -106,8 +106,6 @@ def nearest_match(
     """
     if not reject_frac > 0.0:
         raise ParameterError(f"reject_frac must be > 0, got {reject_frac}")
-    if not table.entries:
-        raise ParameterError("cannot match against an empty table")
 
     dists = [
         math.hypot(features.major_px - e.height_px, features.minor_px - e.width_px)
@@ -141,13 +139,9 @@ def enroll(
     pitch is not needed for identification.  A failure on any sample
     aborts enrollment with an error naming it and the stage.  Pairs of
     templates closer than 1.4% in both dimensions are logged as
-    collisions but still accepted.
+    collisions but still accepted.  LookupTable rejects an empty sample
+    list and a px_per_mm that is not positive.
     """
-    if not px_per_mm > 0.0:
-        raise ParameterError(f"px_per_mm must be > 0, got {px_per_mm}")
-    if not samples:
-        raise ParameterError("enroll needs at least one sample")
-
     no_pitch = replace(cfg, min_pitch_len_px=math.inf)
     entries: list[TemplateEntry] = []
     seen: set[str] = set()

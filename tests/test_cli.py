@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import os
@@ -50,6 +51,17 @@ def write_render(path, name: str, angle: float = 0.0, center=None) -> None:
 def write_black(path, side: int = 64) -> None:
     with open(path, "wb") as fh:
         fh.write(write_binary_pgm(BinaryImage(np.zeros((side, side), bool))))
+
+
+def write_specks(path) -> None:
+    """A 300x300 frame holding only three specks below the area floor."""
+    px = np.zeros((300, 300), bool)
+    px[20:25, 20:25] = True  # 25 px
+    px[150:156, 140:146] = True  # 36 px
+    px[270:275, 260:268] = True  # 40 px
+    assert PipelineConfig().min_component_area > 40
+    with open(path, "wb") as fh:
+        fh.write(write_binary_pgm(BinaryImage(px)))
 
 
 @pytest.fixture(scope="module")
@@ -284,7 +296,26 @@ def test_measure_black_frame_exits_1(tmp_path, capsys):
     write_black(img)
     rc = main(["measure", str(img)])
     assert rc == 1
-    assert "empty-input at orient" in capsys.readouterr().err
+    assert "no component above the area floor" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("verb", ["measure", "enroll", "bench"])
+def test_speck_only_frame_exits_1(tmp_path, capsys, verb):
+    # the frame holds no part, so no verb may measure the specks or the
+    # whole frame in its place
+    frame = tmp_path / "specks.pgm"
+    write_specks(frame)
+    (tmp_path / "manifest.csv").write_text("file,name\nspecks.pgm,x\n")
+    argv = {
+        "measure": ["measure", str(frame)],
+        "enroll": ["enroll", "--manifest", str(tmp_path / "manifest.csv"),
+                   "--out", str(tmp_path / "t.csv")],
+        "bench": ["bench", str(frame), "--reps", "1"],
+    }[verb]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert f"no component above the area floor in {frame}" in captured.err
+    assert captured.out == ""
 
 
 def test_measure_px_per_mm_override(tmp_path, capsys):
@@ -345,6 +376,39 @@ def test_gen_same_seed_same_bytes(tmp_path):
     assert outs[0] == outs[1]
 
 
+# sha256 of every file of one sweep and one random run; a change to the
+# draw order, the canvas or the file format shows here
+GEN_SHA256 = {
+    "sweep": {
+        "M5x12_FT_a000.pgm": "89a49e638cd5ecbcefc6845b8cd9fe5521ac7701f154aca098c496296b2cd51a",
+        "M5x12_FT_a180.pgm": "e3472c8c4cf501e4d12b2774cf2fdaf27f3f60dd5bb27eeaa440c1fcb13b3a09",
+        "M6x40_HT_a000.pgm": "3e5e89bcfe748f6eff8c7dbec203c2234e1d7f0957f581b75730cd556bc8143c",
+        "M6x40_HT_a180.pgm": "d3003da785711e701c0a2ee2347f44abd5f9dbac7acfac66324ccdf4870c7561",
+        "manifest.csv": "172586f541edf7d80cf76f27a6825bd15c58c182d603965bff3e3b674e9c2882",
+    },
+    "random": {
+        "0000_M10x30_HT.pgm": "0b10de7229297d77ea8df1a1b53b4b9b31372dbecd410c23b9d8914cbcda08eb",
+        "0001_M12x75_HT.pgm": "4ca364eab12df9073c2bbbac9d81bde455028ba4f91604b02cbfaf8a0534a696",
+        "0002_M8x55_HT.pgm": "e0626758174bc59b85f9dbef491ba82abb8b3619e5749fccdbb07acbef79ae5b",
+        "manifest.csv": "94ce92d1ca6339176c93c13879d7e8bb9c857e3a27df5caa97726d64ef3170e9",
+    },
+}
+
+
+def test_gen_bytes_are_pinned(tmp_path):
+    cat = tmp_path / "cat.csv"
+    cat.write_bytes(save_catalog([spec_named("M5x12_FT"), spec_named("M6x40_HT")]))
+    runs = {
+        "sweep": ["--catalog", str(cat), "--angles", "2"],
+        "random": ["--count", "3", "--noise", "0.002", "--seed", "4"],
+    }
+    for mode, argv in runs.items():
+        out = tmp_path / mode
+        assert main(["gen", "--out", str(out), *argv]) == 0
+        got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
+        assert got == GEN_SHA256[mode], mode
+
+
 def test_gen_bad_angles_exits_2(tmp_path, capsys):
     rc = main(["gen", "--out", str(tmp_path / "x"), "--angles", "0"])
     assert rc == 2
@@ -380,6 +444,16 @@ def test_bench_zero_reps_exits_2(tmp_path, capsys):
     write_render(img, "M5x12_FT")
     rc = main(["bench", str(img), "--reps", "0"])
     assert rc == 2
+
+
+def test_bench_takes_no_px_per_mm(tmp_path, capsys):
+    # bench prints pixel-free stage timings, so a scale has nothing to set
+    img = tmp_path / "part.pgm"
+    write_render(img, "M5x12_FT")
+    with pytest.raises(SystemExit) as info:
+        main(["bench", str(img), "--px-per-mm", "5"])
+    assert info.value.code == 2
+    assert "--px-per-mm" in capsys.readouterr().err
 
 
 def test_bench_blank_image_exits_1(tmp_path, capsys):

@@ -2,10 +2,11 @@ from __future__ import annotations
 
 import ast
 import inspect
+from collections import Counter
 from pathlib import Path
 
 import boltvision
-from boltvision import pipeline
+from boltvision import cli, pipeline
 
 
 def test_all_names_resolve_without_duplicates():
@@ -41,3 +42,15 @@ def test_stages_take_their_constants_from_the_config():
         if p.name != "cfg" and p.default is not p.empty
     ]
     assert found == []
+
+
+def test_cli_reads_frames_in_one_place():
+    # every verb turns a frame into parts through one reader, so they
+    # share one area floor and one rule for a frame that holds no part
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    calls = Counter(
+        node.func.id for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+    )
+    names = ("read_pgm", "threshold", "connected_components")
+    assert {n: calls[n] for n in names} == dict.fromkeys(names, 1)
