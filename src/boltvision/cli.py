@@ -34,6 +34,7 @@ from .errors import (
     ReportFormatError,
     StageError,
 )
+from .csvrows import read_rows, write_rows
 from .identify import REJECT_FRAC, LookupTable, enroll, load_table, nearest_match, save_table
 from .imagecore import (
     BinaryImage,
@@ -56,20 +57,25 @@ _INT_KEYS = frozenset(f.name for f in dataclasses.fields(PipelineConfig) if f.ty
 
 # -- config handling ---------------------------------------------------------
 
+def _key_value(item: str, where: str) -> tuple[str, str]:
+    """(key, value) of a KEY=VALUE item; errors name where it is, 'line N' or '--set'."""
+    if "=" not in item:
+        raise ConfigError(f"{where}: expected key=value, got '{item}'")
+    key, _, value = item.partition("=")
+    key = key.strip()
+    if key not in _CONFIG_FIELDS:
+        raise ConfigError(f"{where}: unknown config key '{key}'")
+    return key, value.strip()
+
+
 def parse_config_text(text: str) -> dict[str, str]:
     """Parse flat key=value lines; '#' starts a comment."""
     out: dict[str, str] = {}
     for n, raw in enumerate(text.split("\n"), start=1):
         line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ConfigError(f"line {n}: expected key=value, got '{line}'")
-        key, _, value = line.partition("=")
-        key = key.strip()
-        if key not in _CONFIG_FIELDS:
-            raise ConfigError(f"line {n}: unknown config key '{key}'")
-        out[key] = value.strip()
+        if line:
+            key, value = _key_value(line, f"line {n}")
+            out[key] = value
     return out
 
 
@@ -83,14 +89,7 @@ def build_config(path: str | None, sets: list[str]) -> PipelineConfig:
         except OSError as exc:
             raise ConfigError(f"cannot read config file: {exc}") from exc
         kv.update(parse_config_text(text))
-    for item in sets:
-        if "=" not in item:
-            raise ConfigError(f"--set expects KEY=VALUE, got '{item}'")
-        key, _, value = item.partition("=")
-        key = key.strip()
-        if key not in _CONFIG_FIELDS:
-            raise ConfigError(f"unknown config key '{key}'")
-        kv[key] = value.strip()
+    kv.update(_key_value(item, "--set") for item in sets)
 
     typed: dict[str, int | float] = {}
     for key, value in kv.items():
@@ -120,28 +119,20 @@ def _parts(path: str, cfg: PipelineConfig) -> list[Component]:
     return comps
 
 
+def _read_csv(path: str, what: str, parse):
+    """parse(the bytes at path); failures are ConfigErrors naming what."""
+    try:
+        with open(path, "rb") as fh:
+            return parse(fh.read())
+    except OSError as exc:
+        raise ConfigError(f"cannot read {what}: {exc}") from exc
+    except CsvFormatError as exc:
+        raise ConfigError(f"{what} {path}: {exc}") from exc
+
+
 def _read_manifest(path: str) -> list[dict[str, str]]:
     """Manifest CSV: header starting `file,name`, extra columns kept."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise ConfigError(f"cannot read manifest: {exc}") from exc
-    lines = [l for l in text.split("\n") if l != ""]
-    if not lines:
-        raise ConfigError(f"manifest {path} is empty")
-    header = lines[0].split(",")
-    if header[:2] != ["file", "name"]:
-        raise ConfigError("manifest header must start with 'file,name'")
-    rows = []
-    for n, raw in enumerate(lines[1:], start=2):
-        fields = raw.split(",")
-        if len(fields) < 2:
-            raise ConfigError(f"manifest line {n}: expected at least file,name")
-        rows.append(dict(zip(header, fields)))
-    if not rows:
-        raise ConfigError(f"manifest {path} has no rows")
-    return rows
+    return _read_csv(path, "manifest", lambda d: [r for _, r in read_rows(d, "file,name")[1]])
 
 
 def _feature_dict(f: BoltFeatures, ppm: float) -> dict:
@@ -265,13 +256,7 @@ def cmd_enroll(args: argparse.Namespace) -> int:
 
 def cmd_identify(args: argparse.Namespace) -> int:
     cfg = build_config(args.config, args.set)
-    try:
-        with open(args.table, "rb") as fh:
-            table = load_table(fh.read())
-    except OSError as exc:
-        raise ConfigError(f"cannot read table: {exc}") from exc
-    except CsvFormatError as exc:
-        raise ConfigError(f"table: {exc}") from exc
+    table = _read_csv(args.table, "table", load_table)
     ppm = args.px_per_mm if args.px_per_mm is not None else table.px_per_mm
 
     truth: dict[str, str] | None = None
@@ -415,16 +400,10 @@ def cmd_gen(args: argparse.Namespace) -> int:
     if args.catalog is None:
         catalog = standard_catalog()
     else:
-        try:
-            with open(args.catalog, "rb") as fh:
-                catalog = load_catalog(fh.read())
-        except OSError as exc:
-            raise ConfigError(f"cannot read catalog: {exc}") from exc
-        except CsvFormatError as exc:
-            raise ConfigError(f"catalog: {exc}") from exc
+        catalog = _read_csv(args.catalog, "catalog", load_catalog)
 
     os.makedirs(args.out, exist_ok=True)
-    rows: list[tuple[str, str, float, float]] = []
+    rows: list[tuple[str, str, str, str]] = []
     for fname, spec, angle, pad, dx, dy, seed in _renders(args, catalog):
         side = math.ceil(math.hypot(spec.length_mm * ppm, spec.head_width_mm * ppm)) + pad
         params = RenderParams(
@@ -434,14 +413,10 @@ def cmd_gen(args: argparse.Namespace) -> int:
         img, _ = render_bolt(spec, params)
         with open(os.path.join(args.out, fname), "wb") as fh:
             fh.write(write_binary_pgm(img))
-        rows.append((fname, spec.name, angle, args.noise))
+        rows.append((fname, spec.name, repr(angle), repr(args.noise)))
 
-    manifest = "file,name,angle_deg,noise\n" + "".join(
-        f"{f},{n},{a!r},{z!r}\n" for f, n, a, z in rows
-    )
-    with open(os.path.join(args.out, "manifest.csv"), "w", encoding="utf-8",
-              newline="\n") as fh:
-        fh.write(manifest)
+    with open(os.path.join(args.out, "manifest.csv"), "wb") as fh:
+        fh.write(write_rows("file,name,angle_deg,noise", rows))
     print(f"wrote {len(rows)} images and manifest.csv -> {args.out}")
     return 0
 
@@ -479,6 +454,17 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
 # -- entry point -------------------------------------------------------------
 
+def _positive_float(text: str) -> float:
+    """argparse type of --px-per-mm: a finite number above zero."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0.0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be a finite number > 0, got '{text}'")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="boltvision",
@@ -493,7 +479,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="override one config key (repeatable)")
 
     def scale(sp: argparse.ArgumentParser) -> None:
-        sp.add_argument("--px-per-mm", dest="px_per_mm", type=float, default=None,
+        sp.add_argument("--px-per-mm", dest="px_per_mm", type=_positive_float, default=None,
                         help="pixels per millimeter for mm conversions")
 
     p = sub.add_parser("enroll", help="build a lookup table from labeled images")

@@ -15,6 +15,7 @@ import math
 from dataclasses import dataclass, replace
 from typing import Sequence
 
+from .csvrows import read_rows, write_rows
 from .errors import CsvFormatError, EnrollmentError, ParameterError, StageError
 from .imagecore import BinaryImage
 from .pipeline import (
@@ -34,7 +35,7 @@ COLLISION_FRAC = 0.014
 # A match further than this fraction of the query's major axis is unknown.
 REJECT_FRAC = 0.1
 
-_TABLE_HEADER = "name,width_px,height_px,threading"
+_TABLE_COLUMNS = "name,width_px,height_px,threading"
 
 
 @dataclass(frozen=True)
@@ -179,13 +180,10 @@ def enroll(
 
 
 def save_table(table: LookupTable) -> bytes:
-    """Encode a table as CSV (UTF-8, LF line endings)."""
-    lines = [f"# px_per_mm={table.px_per_mm!r}", _TABLE_HEADER]
-    for e in table.entries:
-        lines.append(
-            f"{e.name},{e.width_px!r},{e.height_px!r},{e.threading.value}"
-        )
-    return ("\n".join(lines) + "\n").encode("utf-8")
+    """Encode a table as CSV, the scale in its comment line."""
+    rows = [(e.name, repr(e.width_px), repr(e.height_px), e.threading.value)
+            for e in table.entries]
+    return write_rows(_TABLE_COLUMNS, rows, comment=f"px_per_mm={table.px_per_mm!r}")
 
 
 def load_table(data: bytes) -> LookupTable:
@@ -195,65 +193,31 @@ def load_table(data: bytes) -> LookupTable:
     the factor defaults to DEFAULT_PX_PER_MM.  Errors carry the 1-based
     line number of the offending line.
     """
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise CsvFormatError("table file is not valid UTF-8", 1) from exc
-
-    lines = text.split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
-
-    lineno = 1
+    comment, rows = read_rows(data, _TABLE_COLUMNS)
     px_per_mm = DEFAULT_PX_PER_MM
-    if lines and lines[0].startswith("#"):
-        body = lines[0][1:].strip()
-        if not body.startswith("px_per_mm="):
+    if comment is not None:
+        key, _, value = comment.partition("=")
+        if key != "px_per_mm":
             raise CsvFormatError("unrecognized comment, expected px_per_mm=<value>", 1)
         try:
-            px_per_mm = float(body[len("px_per_mm=") :])
+            px_per_mm = float(value)
         except ValueError as exc:
             raise CsvFormatError("px_per_mm is not numeric", 1) from exc
-        if not px_per_mm > 0.0:
-            raise CsvFormatError(f"px_per_mm must be > 0, got {px_per_mm}", 1)
-        lines = lines[1:]
-        lineno = 2
-
-    if not lines:
-        raise CsvFormatError("missing header line", lineno)
-    if lines[0] != _TABLE_HEADER:
-        raise CsvFormatError(f"expected header '{_TABLE_HEADER}'", lineno)
 
     entries: list[TemplateEntry] = []
-    seen: set[str] = set()
-    for offset, raw in enumerate(lines[1:], start=lineno + 1):
-        if raw == "":
-            raise CsvFormatError("blank line inside table", offset)
-        fields = raw.split(",")
-        if len(fields) != 4:
-            raise CsvFormatError(f"expected 4 fields, got {len(fields)}", offset)
-        name, w_s, h_s, t_s = fields
-        if name in seen:
-            raise CsvFormatError(f"duplicate template name '{name}'", offset)
-        seen.add(name)
-        try:
-            width = float(w_s)
-            height = float(h_s)
-        except ValueError as exc:
-            raise CsvFormatError("non-numeric dimension", offset) from exc
-        try:
-            threading = ThreadingType(t_s)
-        except ValueError as exc:
-            raise CsvFormatError(f"threading must be FT or HT, got '{t_s}'", offset) from exc
+    for line, row in rows:
         try:
             entries.append(
                 TemplateEntry(
-                    name=name, width_px=width, height_px=height, threading=threading
+                    name=row["name"],
+                    width_px=float(row["width_px"]),
+                    height_px=float(row["height_px"]),
+                    threading=ThreadingType(row["threading"]),
                 )
             )
-        except ParameterError as exc:
-            raise CsvFormatError(str(exc), offset) from exc
-
-    if not entries:
-        raise CsvFormatError("table has no entries", lineno)
-    return LookupTable(px_per_mm=px_per_mm, entries=tuple(entries))
+        except ValueError as exc:
+            raise CsvFormatError(f"bad template row: {exc}", line) from exc
+    try:
+        return LookupTable(px_per_mm=px_per_mm, entries=tuple(entries))
+    except ParameterError as exc:  # rows are checked, so the scale is bad
+        raise CsvFormatError(str(exc), 1) from exc

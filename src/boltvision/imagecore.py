@@ -139,7 +139,7 @@ def threshold(img: GrayImage, level: int | None = None) -> BinaryImage:
     return BinaryImage(img.px > int(level))
 
 
-def _white_runs(px: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def white_runs(px: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Maximal horizontal white runs as (rows, starts, ends), ends inclusive.
 
     Sorted by (row, start).  A padding column on each side keeps row
@@ -164,7 +164,7 @@ def connected_components(img: BinaryImage, min_area: int = 0) -> list[Component]
     go to the region whose first run comes first.  Smaller regions are
     dropped before their masks are built.
     """
-    rows, starts, ends = _white_runs(img.px)
+    rows, starts, ends = white_runs(img.px)
     n = rows.size
     if n == 0:
         return []

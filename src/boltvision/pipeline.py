@@ -32,7 +32,7 @@ from .geometry import (
     rect_of_mask,
     warp_to_upright,
 )
-from .imagecore import AxisRect, BinaryImage, crop, rotate180
+from .imagecore import AxisRect, BinaryImage, crop, rotate180, white_runs
 
 
 # scale of the reference setup: the default wherever pixels meet millimetres
@@ -335,9 +335,7 @@ def estimate_pitch(
     row = up.px[cfg.nudge].copy()
     if row.size >= 3:
         row[1:-1] |= row[:-2] & row[2:]
-    edges = np.diff(np.concatenate([[0], row.view(np.int8), [0]]))
-    starts = np.flatnonzero(edges == 1)
-    ends = np.flatnonzero(edges == -1) - 1
+    _, starts, ends = white_runs(row[None, :])
     gaps = starts[1:] - ends[:-1] - 1
     if gaps.size:
         join = gaps < np.median(gaps) / 4.0

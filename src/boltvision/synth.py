@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .csvrows import read_rows, write_rows
 from .errors import CsvFormatError, GeometryError, ParameterError
 from .imagecore import AxisRect, BinaryImage, PixelPoint
 from .pipeline import DEFAULT_PX_PER_MM, ThreadingType
@@ -295,72 +296,32 @@ def standard_catalog() -> list[BoltSpec]:
     return specs
 
 
-_CATALOG_HEADER = (
-    "name,length_mm,diameter_mm,head_width_mm,head_length_mm,"
-    "pitch_mm,thread_depth_mm,threading,half_thread_frac"
+_CATALOG_FLOATS = (
+    "length_mm", "diameter_mm", "head_width_mm", "head_length_mm", "pitch_mm", "thread_depth_mm"
 )
+_CATALOG_COLUMNS = ",".join(("name", *_CATALOG_FLOATS, "threading", "half_thread_frac"))
 
 
 def save_catalog(specs: list[BoltSpec]) -> bytes:
     """Serialise a catalog as UTF-8 CSV; floats keep full precision."""
-    lines = [_CATALOG_HEADER]
-    for s in specs:
-        lines.append(
-            ",".join(
-                [
-                    s.name,
-                    repr(s.length_mm),
-                    repr(s.diameter_mm),
-                    repr(s.head_width_mm),
-                    repr(s.head_length_mm),
-                    repr(s.pitch_mm),
-                    repr(s.thread_depth_mm),
-                    s.threading.value,
-                    repr(s.half_thread_frac),
-                ]
-            )
-        )
-    return ("\n".join(lines) + "\n").encode("utf-8")
+    rows = [(s.name, *(repr(getattr(s, k)) for k in _CATALOG_FLOATS), s.threading.value,
+             repr(s.half_thread_frac)) for s in specs]
+    return write_rows(_CATALOG_COLUMNS, rows)
 
 
 def load_catalog(data: bytes) -> list[BoltSpec]:
     """Parse a catalog CSV; errors carry the 1-based line number."""
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise CsvFormatError(f"catalog is not UTF-8: {exc}", 1) from exc
-    lines = text.split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
-    if not lines or lines[0] != _CATALOG_HEADER:
-        raise CsvFormatError("bad or missing catalog header", 1)
     specs: list[BoltSpec] = []
-    seen: set[str] = set()
-    for i, line in enumerate(lines[1:], start=2):
-        parts = line.split(",")
-        if len(parts) != 9:
-            raise CsvFormatError(f"expected 9 fields, got {len(parts)}", i)
-        name = parts[0]
-        if name in seen:
-            raise CsvFormatError(f"duplicate name {name!r}", i)
-        seen.add(name)
-        if parts[7] not in ("FT", "HT"):
-            raise CsvFormatError(f"threading must be FT or HT, got {parts[7]!r}", i)
+    for line, row in read_rows(data, _CATALOG_COLUMNS)[1]:
         try:
-            spec = BoltSpec(
-                name=name,
-                length_mm=float(parts[1]),
-                diameter_mm=float(parts[2]),
-                head_width_mm=float(parts[3]),
-                head_length_mm=float(parts[4]),
-                pitch_mm=float(parts[5]),
-                thread_depth_mm=float(parts[6]),
-                threading=ThreadingType(parts[7]),
-                half_thread_frac=float(parts[8]),
+            specs.append(
+                BoltSpec(
+                    name=row["name"],
+                    threading=ThreadingType(row["threading"]),
+                    half_thread_frac=float(row["half_thread_frac"]),
+                    **{k: float(row[k]) for k in _CATALOG_FLOATS},
+                )
             )
-        except (ValueError, ParameterError) as exc:
-            raise CsvFormatError(f"bad catalog row: {exc}", i) from exc
-        specs.append(spec)
-    if not specs:
-        raise CsvFormatError("catalog has no entries", 2)
+        except ValueError as exc:
+            raise CsvFormatError(f"bad catalog row: {exc}", line) from exc
     return specs

@@ -115,6 +115,17 @@ def test_build_config_type_errors():
         build_config(None, ["bogus"])
 
 
+def test_config_errors_name_their_place(tmp_path):
+    f = tmp_path / "pipeline.cfg"
+    f.write_text("thresh=3\nvolume=11\n")
+    with pytest.raises(ConfigError, match="line 2: unknown config key 'volume'"):
+        build_config(str(f), [])
+    with pytest.raises(ConfigError, match="--set: unknown config key 'volume'"):
+        build_config(None, ["volume=11"])
+    with pytest.raises(ConfigError, match="--set: expected key=value"):
+        build_config(None, ["bogus"])
+
+
 def test_build_config_missing_file():
     with pytest.raises(ConfigError):
         build_config("/no/such/file.cfg", [])
@@ -152,6 +163,34 @@ def test_enroll_bad_manifest_header_exits_2(tmp_path, capsys):
                "--out", str(tmp_path / "t.csv")])
     assert rc == 2
     assert "file,name" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("verb", ["enroll", "identify"])
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        ("file,name\na.pgm,x\n\nb.pgm,y\n", 3),  # blank line
+        ("file,name\na.pgm,x,extra\n", 2),  # three fields under two columns
+        ("file,name\na.pgm,x\na.pgm,y\n", 3),  # the same file twice
+    ],
+    ids=["blank", "fields", "repeat"],
+)
+def test_manifest_rules_exit_2(enrolled, tmp_path, capsys, verb, text, line):
+    _, table, _ = enrolled
+    for f in ("a.pgm", "b.pgm"):
+        write_render(tmp_path / f, "M8x35_HT")
+    manifest = tmp_path / "manifest.csv"
+    manifest.write_text(text)
+    argv = {
+        "enroll": ["enroll", "--manifest", str(manifest), "--out", str(tmp_path / "t.csv")],
+        "identify": ["identify", str(tmp_path / "a.pgm"), "--table", str(table),
+                     "--truth", str(manifest)],
+    }[verb]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert f"manifest {manifest}:" in captured.err
+    assert f"(line {line})" in captured.err
+    assert captured.out == ""
 
 
 # -- identify ----------------------------------------------------------------
@@ -327,6 +366,18 @@ def test_measure_px_per_mm_override(tmp_path, capsys):
     mm = float(line.split("=")[1].replace("mm", ""))
     # half the factor doubles the reported length
     assert mm == pytest.approx(24.0, abs=0.4)
+
+
+@pytest.mark.parametrize("value", ["0", "-5", "nan"])
+def test_measure_rejects_bad_px_per_mm(tmp_path, capsys, value):
+    img = tmp_path / "part.pgm"
+    write_render(img, "M5x12_FT")
+    with pytest.raises(SystemExit) as info:
+        main(["measure", str(img), f"--px-per-mm={value}"])
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert "--px-per-mm" in captured.err and "finite number > 0" in captured.err
+    assert captured.out == ""
 
 
 # -- gen ---------------------------------------------------------------------

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import logging
 import math
 
@@ -271,6 +272,17 @@ def test_load_errors_carry_line(data, line):
     with pytest.raises(CsvFormatError) as info:
         load_table(data)
     assert info.value.line == line
+
+
+def test_save_table_bytes_are_pinned():
+    table = LookupTable(9.5, (
+        TemplateEntry("A", 10.25, 40.5, ThreadingType.FULL),
+        TemplateEntry("B", 12.0, 12.0, ThreadingType.HALF),
+        TemplateEntry("C_x", 1 / 3, 2 / 3, ThreadingType.FULL),
+    ))
+    assert hashlib.sha256(save_table(table)).hexdigest() == (
+        "33995687f02300511986939b6ef27d1e9ee2a05f68bbe59c340d489bcff7a6f4"
+    )
 
 
 def test_match_result_is_plain_record():

@@ -21,6 +21,7 @@ from boltvision.imagecore import (
     read_pgm,
     rotate180,
     threshold,
+    white_runs,
     write_binary_pgm,
     write_pgm,
 )
@@ -132,6 +133,16 @@ def test_count_matches_renderer():
 
 
 # -- connected components ----------------------------------------------------
+
+def test_white_runs_stay_in_their_row():
+    # a run ending on the last column must not join one starting on the
+    # first column of the next row
+    px = np.array([[0, 1, 1, 0, 1], [1, 0, 0, 0, 1], [0, 0, 0, 0, 0]], bool)
+    rows, starts, ends = white_runs(px)
+    assert rows.tolist() == [0, 0, 1, 1]
+    assert starts.tolist() == [1, 4, 0, 4]
+    assert ends.tolist() == [2, 4, 0, 4]
+
 
 def test_components_empty_image():
     assert connected_components(solid(6, 6, False)) == []

@@ -44,6 +44,19 @@ def test_stages_take_their_constants_from_the_config():
     assert found == []
 
 
+def test_one_csv_reader():
+    # csvrows.py alone splits CSV fields, so tables, catalogs and
+    # manifests keep one set of format rules
+    found = []
+    for path in sorted(Path(boltvision.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "split" and node.args
+                    and isinstance(node.args[0], ast.Constant) and node.args[0].value == ","):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found and all(f.startswith("csvrows.py:") for f in found)
+
+
 def test_cli_reads_frames_in_one_place():
     # every verb turns a frame into parts through one reader, so they
     # share one area floor and one rule for a frame that holds no part

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import math
 
 import numpy as np
@@ -219,6 +220,12 @@ def test_catalog_entries_well_separated():
 def test_catalog_csv_round_trip():
     cat = standard_catalog()
     assert load_catalog(save_catalog(cat)) == cat
+
+
+def test_save_catalog_bytes_are_pinned():
+    assert hashlib.sha256(save_catalog(standard_catalog())).hexdigest() == (
+        "85bb3bfbde098c8159b4aef94ba8c19e39a5f05b060f984ff4c46653c402cf5f"
+    )
 
 
 def test_catalog_csv_errors():
