@@ -15,6 +15,9 @@ import numpy as np
 from .errors import BoundsError, ParameterError, PgmFormatError
 
 _WHITESPACE = frozenset(b" \t\r\n\x0b\x0c")
+# pixels per np.bincount call in otsu_level: bincount widens its input to
+# intp, 8 bytes a pixel, so a whole 2048x2048 frame would copy to 32 MB
+_HIST_BLOCK = 1 << 16
 
 
 class PixelPoint(NamedTuple):
@@ -113,7 +116,11 @@ def otsu_level(img: GrayImage) -> int:
     is white iff value > level.  Ties resolve to the lowest level.  On a
     uniform image every split is equally bad and level 0 is returned.
     """
-    hist = np.bincount(img.px.ravel(), minlength=256).tolist()
+    flat = img.px.ravel()
+    counts = np.zeros(256, dtype=np.int64)
+    for i in range(0, flat.size, _HIST_BLOCK):
+        counts += np.bincount(flat[i : i + _HIST_BLOCK], minlength=256)
+    hist = counts.tolist()
     n = sum(hist)
     total = sum(v * c for v, c in enumerate(hist))
     # the variance is num / den; exact integers keep equal splits tied,

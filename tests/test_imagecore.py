@@ -110,6 +110,16 @@ def test_otsu_agrees_with_exhaustive_scan(img):
     assert otsu_level(img) == _otsu_oracle(img.px)
 
 
+def test_otsu_counts_every_block_of_a_large_frame():
+    # 301 x 401 pixels span several histogram blocks, the last one partial;
+    # the two modes overlap, so the level moves with every block's counts
+    rng = np.random.default_rng(11)
+    px = rng.normal(70.0, 30.0, (301, 401))
+    px[90:] = rng.normal(170.0, 30.0, (211, 401))
+    px = np.clip(px, 0, 255).astype(np.uint8)
+    assert otsu_level(GrayImage(px)) == _otsu_oracle(px)
+
+
 @given(gray_images, st.integers(0, 254))
 def test_threshold_monotone(img, t):
     # raising the level never turns a black pixel white
