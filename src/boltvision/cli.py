@@ -259,10 +259,15 @@ def cmd_identify(args: argparse.Namespace) -> int:
     table = _read_csv(args.table, "table", load_table)
     ppm = args.px_per_mm if args.px_per_mm is not None else table.px_per_mm
 
+    # truth is keyed by each row's file resolved against the manifest's
+    # directory, as enroll resolves it, and looked up by the image's own
+    # absolute path
     truth: dict[str, str] | None = None
     if args.truth is not None:
+        base = os.path.dirname(os.path.abspath(args.truth))
         truth = {
-            os.path.basename(r["file"]): r["name"] for r in _read_manifest(args.truth)
+            os.path.abspath(os.path.join(base, r["file"])): r["name"]
+            for r in _read_manifest(args.truth)
         }
 
     records: list[dict] = []
@@ -298,10 +303,10 @@ def cmd_identify(args: argparse.Namespace) -> int:
         "errors": sum(1 for r in records if r["error"] is not None),
     }
     if truth is not None:
-        have = [r for r in matched if os.path.basename(r["path"]) in truth]
+        have = [r for r in matched if os.path.abspath(r["path"]) in truth]
         correct = sum(
             1 for r in have
-            if r["match"]["name"] == truth[os.path.basename(r["path"])]
+            if r["match"]["name"] == truth[os.path.abspath(r["path"])]
         )
         summary["truth_total"] = len(have)
         summary["truth_correct"] = correct
@@ -371,14 +376,20 @@ def _renders(
     """(file, spec, angle, pad, dx, dy, seed) for each frame gen writes.
 
     The sweep draws every spec at evenly spaced angles, centred on a
-    square canvas 10 px wider than the part's diagonal.  Random mode
-    draws spec, angle, centre offset and render seed, in that order, from
-    one generator seeded by --seed, on a canvas 40 px wider.
+    square canvas 10 px wider than the part's diagonal.  Its frames are
+    named by the angle in whole degrees, which stays unique up to 360
+    angles; above that they are named by their index in the sweep.
+    Random mode draws spec, angle, centre offset and render seed, in that
+    order, from one generator seeded by --seed, on a canvas 40 px wider.
     """
     if args.count is None:
-        for i, (spec, k) in enumerate(itertools.product(catalog, range(args.angles))):
-            angle = 360.0 * k / args.angles
-            fname = f"{spec.name}_a{int(round(angle)) % 360:03d}.pgm"
+        n = args.angles
+        for i, (spec, k) in enumerate(itertools.product(catalog, range(n))):
+            angle = 360.0 * k / n
+            if n <= 360:
+                fname = f"{spec.name}_a{int(round(angle)) % 360:03d}.pgm"
+            else:
+                fname = f"{spec.name}_k{k:0{len(str(n - 1))}d}.pgm"
             yield fname, spec, angle, 10, 0, 0, args.seed + i
         return
     rng = np.random.default_rng(args.seed)

@@ -21,6 +21,11 @@ import numpy as np
 from .errors import EmptyInputError, GeometryError
 from .imagecore import BinaryImage
 
+# output rows per block in warp_to_upright: the float and index grids of
+# a block stay small where whole-image grids of a large part take tens
+# of MB
+_WARP_ROWS = 64
+
 
 @dataclass(frozen=True)
 class RotatedRect:
@@ -69,31 +74,71 @@ def loop_length(top: np.ndarray, bot: np.ndarray) -> float:
     return float(steps.sum() + (bot[0] - top[0]) + (bot[-1] - top[-1]))
 
 
+# the octagon prefilter pays off only above this many points
+_OCTAGON_MIN_POINTS = 16
+
+
+def _cross(o, a, b):
+    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+
+def _outside_octagon(pts: np.ndarray) -> np.ndarray:
+    """Mask of the points not strictly inside the octagon spanned by the
+    extremes of x, y, x + y and x - y (Akl & Toussaint 1978).
+
+    The extremes are taken in turn around the set, so the octagon is
+    convex and lies inside the hull: a point strictly inside it is no
+    hull vertex.  Repeated corners are merged; a degenerate octagon
+    (fewer than three corners, or all on a line) has no inside.
+    """
+    x, y = pts[:, 0], pts[:, 1]
+    s, d = x + y, x - y
+    # the extremes along (1, 0), (1, 1), (0, 1), (-1, 1) and their negations
+    picks = [x.argmax(), s.argmax(), y.argmax(), (-d).argmax(),
+             x.argmin(), s.argmin(), y.argmin(), d.argmax()]
+    corners: list[list[float]] = []
+    for p in pts[picks].tolist():
+        if not corners or p != corners[-1]:
+            corners.append(p)
+    if len(corners) > 1 and corners[0] == corners[-1]:
+        corners.pop()
+    if len(corners) < 3:
+        return np.ones(len(pts), dtype=bool)
+    inside = np.ones(len(pts), dtype=bool)
+    for a, b in zip(corners, corners[1:] + corners[:1]):
+        inside &= _cross(a, b, (x, y)) > 0
+    return ~inside
+
+
 def convex_hull(points: np.ndarray) -> np.ndarray:
     """Convex hull of (x, y) points as an (m, 2) float array.
 
     Counter-clockwise on screen, collinear points removed, starting at the
     lexicographically smallest point.  One distinct point hulls to itself;
-    collinear input hulls to its two extremes.
+    collinear input hulls to its two extremes.  Above 16 points, those
+    strictly inside the octagon of the x, y, x + y and x - y extremes are
+    dropped first; that leaves the hull as it was wherever the cross
+    products are exact, as they are on pixel centres.  Andrew's monotone
+    chain then runs on the sorted distinct points that remain.
     """
-    uniq = np.unique(np.asarray(points, dtype=np.float64).reshape(-1, 2), axis=0)
+    pts = np.asarray(points, dtype=np.float64).reshape(-1, 2)
+    if len(pts) > _OCTAGON_MIN_POINTS:
+        pts = pts[_outside_octagon(pts)]
+    uniq = np.unique(pts, axis=0)
     if len(uniq) == 0:
         raise EmptyInputError("convex_hull of no points")
     if len(uniq) == 1:
         return uniq
     pts = uniq.tolist()
 
-    def cross(o, a, b):
-        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-
     lower: list[list[float]] = []
     for p in pts:
-        while len(lower) >= 2 and cross(lower[-2], lower[-1], p) <= 0:
+        while len(lower) >= 2 and _cross(lower[-2], lower[-1], p) <= 0:
             lower.pop()
         lower.append(p)
     upper: list[list[float]] = []
     for p in reversed(pts):
-        while len(upper) >= 2 and cross(upper[-2], upper[-1], p) <= 0:
+        while len(upper) >= 2 and _cross(upper[-2], upper[-1], p) <= 0:
             upper.pop()
         upper.append(p)
     hull = lower[:-1] + upper[:-1]
@@ -180,7 +225,10 @@ def warp_to_upright(img: BinaryImage, r: RotatedRect) -> BinaryImage:
     rotation about its center, scaled by size / round(size) so the output
     spans the rect exactly, and sampled nearest-neighbor, so the result
     stays strictly binary; samples outside the source are black.  Output x
-    runs along the rect's size_w axis.
+    runs along the rect's size_w axis.  The output is filled a block of
+    rows at a time: the source coordinates stay floats until the bounds
+    test, and a sample inside the source truncates to its pixel, which
+    for a non-negative coordinate is its floor.
     """
     if not (math.isfinite(r.size_w) and math.isfinite(r.size_h)):
         raise GeometryError("rect size is not finite")
@@ -192,13 +240,21 @@ def warp_to_upright(img: BinaryImage, r: RotatedRect) -> BinaryImage:
     c, s = math.cos(t), math.sin(t)
     cx, cy = r.center
     # offsets from the rect center along its w axis (columns) and h axis
-    # (rows), broadcast to an out_h x out_w grid below
+    # (rows)
     u = (np.arange(out_w) + 0.5 - out_w / 2.0) * (r.size_w / out_w)
     v = (np.arange(out_h)[:, None] + 0.5 - out_h / 2.0) * (r.size_h / out_h)
-    sx = np.floor(cx + u * c - v * s).astype(np.int64)
-    sy = np.floor(cy + u * s + v * c).astype(np.int64)
+    x0, y0 = cx + u * c, cy + u * s
     h_src, w_src = img.px.shape
-    valid = (sx >= 0) & (sx < w_src) & (sy >= 0) & (sy < h_src)
-    out = np.zeros((out_h, out_w), dtype=bool)
-    out[valid] = img.px[sy[valid], sx[valid]]
+    src = img.px.ravel()
+    out = np.empty((out_h, out_w), dtype=bool)
+    for r0 in range(0, out_h, _WARP_ROWS):
+        vb = v[r0 : r0 + _WARP_ROWS]
+        fx = x0 - vb * s
+        fy = y0 + vb * c
+        valid = (fx >= 0) & (fx < w_src) & (fy >= 0) & (fy < h_src)
+        idx = fy.astype(np.intp)
+        idx *= w_src
+        idx += fx.astype(np.intp)
+        # an index outside the source is clipped to it, then masked off
+        out[r0 : r0 + _WARP_ROWS] = src.take(idx, mode="clip") & valid
     return BinaryImage(out)

@@ -15,8 +15,9 @@ import numpy as np
 from .errors import BoundsError, ParameterError, PgmFormatError
 
 _WHITESPACE = frozenset(b" \t\r\n\x0b\x0c")
-# pixels per np.bincount call in otsu_level: bincount widens its input to
-# intp, 8 bytes a pixel, so a whole 2048x2048 frame would copy to 32 MB
+# pixel pairs per np.bincount call in otsu_level: bincount widens its
+# input to intp, 8 bytes a pair, so a whole 2048x2048 frame would copy to
+# 16 MB where a block copies to 512 kB
 _HIST_BLOCK = 1 << 16
 
 
@@ -115,11 +116,21 @@ def otsu_level(img: GrayImage) -> int:
     The level is the largest value still counted as background, so a pixel
     is white iff value > level.  Ties resolve to the lowest level.  On a
     uniform image every split is equally bad and level 0 is returned.
+
+    The histogram counts the pixels two at a time: the raster read as
+    16-bit words is counted into 65,536 bins, one per pair of values, and
+    each value's count is its row sum plus its column sum of that 256 x 256
+    table; an odd last pixel is added on its own.
     """
     flat = img.px.ravel()
-    counts = np.zeros(256, dtype=np.int64)
-    for i in range(0, flat.size, _HIST_BLOCK):
-        counts += np.bincount(flat[i : i + _HIST_BLOCK], minlength=256)
+    words = flat[: flat.size & ~1].view(np.uint16)
+    pairs = np.zeros(1 << 16, dtype=np.int64)
+    for i in range(0, words.size, _HIST_BLOCK):
+        pairs += np.bincount(words[i : i + _HIST_BLOCK], minlength=1 << 16)
+    pairs = pairs.reshape(256, 256)
+    counts = pairs.sum(0) + pairs.sum(1)
+    if flat.size & 1:
+        counts[flat[-1]] += 1
     hist = counts.tolist()
     n = sum(hist)
     total = sum(v * c for v, c in enumerate(hist))

@@ -221,16 +221,33 @@ def measure_axes(bolt: OrientedBolt) -> tuple[float, float]:
     true axis (the head dominates it), which would leak a multiple of the
     part length into a fixed-axis cross extent.  Assumes the tip half is
     longer than the part is thick.
+
+    A source pixel (x, y) lies on the tip side when its center projects
+    onto axis_u at or past axis_c.  Along one row that projection is
+    monotone in x, so the tip side of each row is the run of columns from,
+    or up to, one cut found by bisection on the same float expression.
     """
     major = float(bolt.img.width)
-    ys, xs = np.nonzero(bolt.src.px)
+    px = bolt.src.px
+    h, w = px.shape
     ux, uy = bolt.axis_u
-    pu = (xs + 0.5) * ux + (ys + 0.5) * uy
-    keep = pu >= bolt.axis_c
-    if not bool(keep.any()):
+    row_term = (np.arange(h) + 0.5) * uy
+    # per row, the first column at which the test flips: from tip false to
+    # true when ux >= 0 (the test is one value across the row when ux is
+    # 0), from true to false when ux < 0
+    flips_to = ux >= 0
+    lo = np.zeros(h, dtype=np.intp)
+    hi = np.full(h, w, dtype=np.intp)
+    for _ in range(w.bit_length()):
+        mid = (lo + hi) // 2
+        at = ((mid + 0.5) * ux + row_term >= bolt.axis_c) == flips_to
+        hi = np.where(at, mid, hi)
+        lo = np.where(at, lo, np.minimum(mid + 1, hi))
+    cols = np.arange(w)
+    keep = cols >= hi[:, None] if flips_to else cols < hi[:, None]
+    tip = px & keep
+    if not bool(tip.any()):
         raise MalformedBoltError("tip half of the bolt is empty")
-    tip = np.zeros(bolt.src.px.shape, dtype=bool)
-    tip[ys[keep], xs[keep]] = True
     rect = rect_of_mask(BinaryImage(tip))
     return major, min(rect.size_w, rect.size_h)
 

@@ -293,6 +293,29 @@ def test_identify_truth_accuracy(enrolled, tmp_path, capsys):
     assert "accuracy 100.0%" in capsys.readouterr().out
 
 
+def test_identify_truth_keys_by_path_not_file_name(enrolled, tmp_path, capsys):
+    # da/x.pgm and db/x.pgm share a file name; only the first is listed
+    # with its true name, so only it may count toward the accuracy
+    root, table, _ = enrolled
+    for d, name in (("da", "M8x35_HT"), ("db", "M10x35_FT")):
+        (tmp_path / d).mkdir()
+        write_render(tmp_path / d / "x.pgm", name, angle=50.0)
+    (tmp_path / "truth.csv").write_text("file,name\nda/x.pgm,M8x35_HT\ndb/x.pgm,OTHER\n")
+    out = tmp_path / "report.json"
+    rc = main(["identify", str(tmp_path / "da" / "x.pgm"), "--table", str(table),
+               "--truth", str(tmp_path / "truth.csv"), "--json", str(out)])
+    assert rc == 0
+    summary = report_from_json(out.read_bytes())["summary"]
+    assert (summary["truth_total"], summary["truth_correct"]) == (1, 1)
+    assert "accuracy 100.0%" in capsys.readouterr().out
+    # db/x.pgm is checked against its own row
+    rc = main(["identify", str(tmp_path / "db" / "x.pgm"), "--table", str(table),
+               "--truth", str(tmp_path / "truth.csv"), "--json", str(out)])
+    assert rc == 0
+    summary = report_from_json(out.read_bytes())["summary"]
+    assert (summary["truth_total"], summary["truth_correct"]) == (1, 0)
+
+
 def test_identify_missing_table_exits_2(tmp_path, capsys):
     q = tmp_path / "q.pgm"
     write_render(q, "M8x35_HT")
@@ -396,6 +419,21 @@ def test_gen_sweep_writes_images_and_manifest(tmp_path):
     lines = (out / "manifest.csv").read_text().strip().split("\n")
     assert lines[0] == "file,name,angle_deg,noise"
     assert len(lines) == 7
+
+
+def test_gen_sweep_above_360_angles_names_every_frame(tmp_path):
+    # whole degrees repeat above 360 angles; no render may overwrite another
+    cat = tmp_path / "cat.csv"
+    cat.write_bytes(save_catalog([spec_named("M5x12_FT")]))
+    out = tmp_path / "out"
+    rc = main(["gen", "--out", str(out), "--catalog", str(cat), "--angles", "720"])
+    assert rc == 0
+    pgms = [p.name for p in out.iterdir() if p.suffix == ".pgm"]
+    assert len(pgms) == 720
+    rows = (out / "manifest.csv").read_text().strip().split("\n")[1:]
+    files = [r.split(",")[0] for r in rows]
+    assert len(files) == 720 and len(set(files)) == 720
+    assert set(files) == set(pgms)
 
 
 def test_gen_random_mode(tmp_path):
