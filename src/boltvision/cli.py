@@ -130,9 +130,26 @@ def _read_csv(path: str, what: str, parse):
         raise ConfigError(f"{what} {path}: {exc}") from exc
 
 
-def _read_manifest(path: str) -> list[dict[str, str]]:
-    """Manifest CSV: header starting `file,name`, extra columns kept."""
-    return _read_csv(path, "manifest", lambda d: [r for _, r in read_rows(d, "file,name")[1]])
+def _read_manifest(path: str) -> list[tuple[str, str, str]]:
+    """(file, resolved path, name) of each row of a manifest CSV.
+
+    The header starts `file,name`; extra columns are ignored.  Each file
+    is resolved against the manifest's directory.  Two rows that resolve
+    to one path, such as `x.pgm` and `./x.pgm`, raise ConfigError naming
+    the second row's line.
+    """
+    rows = _read_csv(path, "manifest", lambda d: read_rows(d, "file,name")[1])
+    base = os.path.dirname(os.path.abspath(path))
+    out: list[tuple[str, str, str]] = []
+    seen: set[str] = set()
+    for line, r in rows:
+        full = os.path.abspath(os.path.join(base, r["file"]))
+        if full in seen:
+            raise ConfigError(f"manifest {path}: file '{r['file']}' resolves to a path "
+                              f"listed above (line {line})")
+        seen.add(full)
+        out.append((r["file"], full, r["name"]))
+    return out
 
 
 def _feature_dict(f: BoltFeatures, ppm: float) -> dict:
@@ -232,19 +249,14 @@ def _write_report(report: dict, path: str) -> None:
 def cmd_enroll(args: argparse.Namespace) -> int:
     cfg = build_config(args.config, args.set)
     ppm = args.px_per_mm if args.px_per_mm is not None else DEFAULT_PX_PER_MM
-    rows = _read_manifest(args.manifest)
-    base = os.path.dirname(os.path.abspath(args.manifest))
-
     seen: set[str] = set()
     samples: list[tuple[str, BinaryImage]] = []
-    for row in rows:
-        name = row["name"]
+    for file, path, name in _read_manifest(args.manifest):
         if name in seen:
             raise ConfigError(f"duplicate name '{name}' in manifest")
         seen.add(name)
-        path = os.path.join(base, row["file"])
         if not os.path.isfile(path):
-            raise ConfigError(f"manifest names a missing file: {row['file']}")
+            raise ConfigError(f"manifest names a missing file: {file}")
         samples.append((name, max(_parts(path, cfg), key=lambda c: c.area).mask))
 
     table = enroll(samples, cfg, px_per_mm=ppm)
@@ -259,16 +271,11 @@ def cmd_identify(args: argparse.Namespace) -> int:
     table = _read_csv(args.table, "table", load_table)
     ppm = args.px_per_mm if args.px_per_mm is not None else table.px_per_mm
 
-    # truth is keyed by each row's file resolved against the manifest's
-    # directory, as enroll resolves it, and looked up by the image's own
-    # absolute path
+    # truth is keyed by each row's resolved path and looked up by the
+    # image's own absolute path
     truth: dict[str, str] | None = None
     if args.truth is not None:
-        base = os.path.dirname(os.path.abspath(args.truth))
-        truth = {
-            os.path.abspath(os.path.join(base, r["file"])): r["name"]
-            for r in _read_manifest(args.truth)
-        }
+        truth = {path: name for _, path, name in _read_manifest(args.truth)}
 
     records: list[dict] = []
     timing_rows: list[dict] = []

@@ -74,10 +74,6 @@ def loop_length(top: np.ndarray, bot: np.ndarray) -> float:
     return float(steps.sum() + (bot[0] - top[0]) + (bot[-1] - top[-1]))
 
 
-# the octagon prefilter pays off only above this many points
-_OCTAGON_MIN_POINTS = 16
-
-
 def _cross(o, a, b):
     return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
 
@@ -115,18 +111,16 @@ def convex_hull(points: np.ndarray) -> np.ndarray:
 
     Counter-clockwise on screen, collinear points removed, starting at the
     lexicographically smallest point.  One distinct point hulls to itself;
-    collinear input hulls to its two extremes.  Above 16 points, those
-    strictly inside the octagon of the x, y, x + y and x - y extremes are
-    dropped first; that leaves the hull as it was wherever the cross
-    products are exact, as they are on pixel centres.  Andrew's monotone
-    chain then runs on the sorted distinct points that remain.
+    collinear input hulls to its two extremes.  Points strictly inside the
+    octagon of the x, y, x + y and x - y extremes are dropped first; that
+    leaves the hull as it was wherever the cross products are exact, as
+    they are on pixel centres.  Andrew's monotone chain then runs on the
+    sorted distinct points that remain.
     """
     pts = np.asarray(points, dtype=np.float64).reshape(-1, 2)
-    if len(pts) > _OCTAGON_MIN_POINTS:
-        pts = pts[_outside_octagon(pts)]
-    uniq = np.unique(pts, axis=0)
-    if len(uniq) == 0:
+    if len(pts) == 0:
         raise EmptyInputError("convex_hull of no points")
+    uniq = np.unique(pts[_outside_octagon(pts)], axis=0)
     if len(uniq) == 1:
         return uniq
     pts = uniq.tolist()

@@ -172,8 +172,10 @@ def test_enroll_bad_manifest_header_exits_2(tmp_path, capsys):
         ("file,name\na.pgm,x\n\nb.pgm,y\n", 3),  # blank line
         ("file,name\na.pgm,x,extra\n", 2),  # three fields under two columns
         ("file,name\na.pgm,x\na.pgm,y\n", 3),  # the same file twice
+        ("file,name\na.pgm,x\n./a.pgm,y\n", 3),  # the same file by another path
+        ("file,name\nb.pgm,x\nsub/../b.pgm,y\n", 3),
     ],
-    ids=["blank", "fields", "repeat"],
+    ids=["blank", "fields", "repeat", "repeat-dot", "repeat-dotdot"],
 )
 def test_manifest_rules_exit_2(enrolled, tmp_path, capsys, verb, text, line):
     _, table, _ = enrolled

@@ -1,10 +1,10 @@
-"""The four fast kernels against the plain code they replaced.
+"""Three fast kernels against the plain code they replaced.
 
 Each oracle below is the former implementation of its kernel: the
 convex hull without the octagon prefilter, the warp over whole-image
-coordinate grids, the tip mask filled from np.nonzero, and the Otsu
-histogram counted one pixel at a time.  The kernels must match them
-exactly, not within a tolerance.
+coordinate grids and the tip mask filled from np.nonzero.  The kernels
+must match them exactly, not within a tolerance.  The Otsu histogram is
+checked against an exhaustive scan in test_imagecore.py.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from hypothesis.extra.numpy import arrays
 from boltvision import pipeline
 from boltvision.errors import MalformedBoltError
 from boltvision.geometry import RotatedRect, column_profile, convex_hull, warp_to_upright
-from boltvision.imagecore import BinaryImage, GrayImage, PixelPoint, otsu_level
+from boltvision.imagecore import BinaryImage, PixelPoint
 from boltvision.pipeline import OrientedBolt, measure_axes, orient
 from boltvision.synth import RenderParams, render_bolt, standard_catalog
 
@@ -246,44 +246,3 @@ def test_empty_tip_still_raises():
     bolt = _bolt(_noisy(20, 20, 1), (1.0, 0.0), 1e6)
     with pytest.raises(MalformedBoltError):
         measure_axes(bolt)
-
-
-# -- otsu_level ------------------------------------------------------------------
-
-def _otsu_oracle(px: np.ndarray) -> int:
-    flat = px.ravel()
-    counts = np.zeros(256, dtype=np.int64)
-    for i in range(0, flat.size, 1 << 16):
-        counts += np.bincount(flat[i : i + (1 << 16)], minlength=256)
-    hist = counts.tolist()
-    n = sum(hist)
-    total = sum(v * c for v, c in enumerate(hist))
-    best, best_num, best_den = 0, 0, 1
-    w0 = cum = 0
-    for level, count in enumerate(hist):
-        w0 += count
-        cum += level * count
-        w1 = n - w0
-        num, den = (cum * w1 - (total - cum) * w0) ** 2, w0 * w1
-        if den and num * best_den > best_num * den:
-            best, best_num, best_den = level, num, den
-    return best
-
-
-@given(arrays(np.uint8, st.tuples(st.integers(1, 9), st.integers(1, 9))))
-# the last of these 7 pixels moves the level from 44 to 110
-@example(np.array([[132, 107, 110, 170, 150, 44, 188]], dtype=np.uint8))
-def test_otsu_equals_oracle_on_small_frames(px):
-    assert otsu_level(GrayImage(px)) == _otsu_oracle(px)
-
-
-@pytest.mark.parametrize("shape", [(1, 1), (1, 131073), (363, 363), (257, 512),
-                                   (512, 512), (301, 401), (1023, 129)])
-def test_otsu_equals_oracle_across_block_edges(shape):
-    # odd sizes, sizes short of a whole number of 2**16-pair blocks and one
-    # of exactly two blocks; the modes overlap, so every count moves the level
-    rng = np.random.default_rng(sum(shape))
-    px = np.where(rng.random(shape) < 0.4, rng.normal(80.0, 35.0, shape),
-                  rng.normal(165.0, 35.0, shape))
-    px = np.clip(px, 0, 255).astype(np.uint8)
-    assert otsu_level(GrayImage(px)) == _otsu_oracle(px)

@@ -106,18 +106,24 @@ def test_otsu_bimodal_matches_fixed_level():
 @given(gray_images)
 # levels 121 and 143 split this image equally well; floats ranked 143 higher
 @example(GrayImage(np.array([[0, 0, 245, 255], [49, 255, 140, 247], [143, 166, 77, 121]])))
+# counted as pixel pairs, the last of these 7 pixels stands alone; it
+# moves the level from 44 to 110
+@example(GrayImage(np.array([[132, 107, 110, 170, 150, 44, 188]], np.uint8)))
 def test_otsu_agrees_with_exhaustive_scan(img):
     assert otsu_level(img) == _otsu_oracle(img.px)
 
 
 def test_otsu_counts_every_block_of_a_large_frame():
     # 301 x 401 pixels span several histogram blocks, the last one partial;
-    # the two modes overlap, so the level moves with every block's counts
+    # the others are odd sizes, sizes short of a whole number of blocks of
+    # pixel pairs and exactly two blocks.  The two modes overlap, so the
+    # level moves with every block's counts
     rng = np.random.default_rng(11)
-    px = rng.normal(70.0, 30.0, (301, 401))
-    px[90:] = rng.normal(170.0, 30.0, (211, 401))
-    px = np.clip(px, 0, 255).astype(np.uint8)
-    assert otsu_level(GrayImage(px)) == _otsu_oracle(px)
+    for shape in [(301, 401), (1, 131073), (363, 363), (257, 512), (512, 512), (1023, 129)]:
+        px = rng.normal(70.0, 30.0, shape)
+        px.flat[px.size * 90 // 301 :] = rng.normal(170.0, 30.0, px.size - px.size * 90 // 301)
+        px = np.clip(px, 0, 255).astype(np.uint8)
+        assert otsu_level(GrayImage(px)) == _otsu_oracle(px), shape
 
 
 @given(gray_images, st.integers(0, 254))
