@@ -98,6 +98,9 @@ def build_config(path: str | None, sets: list[str]) -> PipelineConfig:
         except ValueError as exc:
             want = "an integer" if key in _INT_KEYS else "a number"
             raise ConfigError(f"config key '{key}' expects {want}, got '{value}'") from exc
+        # a NaN fails every comparison, so a range check would let it through
+        if not math.isfinite(typed[key]):
+            raise ConfigError(f"config key '{key}' expects a finite number, got '{value}'")
     try:
         return PipelineConfig(**typed)
     except ParameterError as exc:

@@ -189,29 +189,6 @@ def rect_of_mask(img: BinaryImage) -> RotatedRect:
     return RotatedRect(center, hi_w - lo_w + 1.0, hi_h - lo_h + 1.0, angle)
 
 
-def is_contour_convex(c: np.ndarray, tol: float = 1.5) -> bool:
-    """True when no point of c dents deeper than tol inside its hull.
-
-    Pixelation puts genuine corners a fraction of a pixel off the hull, so
-    the default tolerance accepts deviations up to 1.5 px.  Fewer than 3
-    distinct points count as convex.
-    """
-    pts = np.asarray(c, dtype=np.float64)
-    hull = convex_hull(pts)
-    if len(hull) < 3:
-        return True
-    best = np.full(pts.shape[0], np.inf)
-    for a, b in zip(hull, np.roll(hull, -1, axis=0)):
-        ab = b - a
-        denom = float(ab @ ab)
-        t = ((pts - a) @ ab) / denom
-        np.clip(t, 0.0, 1.0, out=t)
-        closest = a + t[:, None] * ab
-        d = np.hypot(pts[:, 0] - closest[:, 0], pts[:, 1] - closest[:, 1])
-        np.minimum(best, d, out=best)
-    return float(best.max()) <= tol
-
-
 def warp_to_upright(img: BinaryImage, r: RotatedRect) -> BinaryImage:
     """Resample the rect's content into an upright round(w) x round(h) image.
 

@@ -27,7 +27,6 @@ from .errors import (
 )
 from .geometry import (
     column_profile,
-    is_contour_convex,
     loop_length,
     rect_of_mask,
     warp_to_upright,
@@ -55,8 +54,7 @@ class PipelineConfig:
 
     thresh            extra columns discarded past the detected shoulder
     nudge             scan row used by the pitch estimate
-    perim_ratio       right/left perimeter ratio that signals half threading
-    fill_frac         fill fraction of d x length that signals half threading
+    perim_ratio       right/left body loop ratio above which a part is half threaded
     head_frac         fraction of the length searched for the shoulder
     thread_slice_frac fraction of the body, at the tip, used for pitch
     min_pitch_len_px  skip the pitch estimate for shorter parts
@@ -66,7 +64,6 @@ class PipelineConfig:
     thresh: int = 5
     nudge: int = 2
     perim_ratio: float = 1.15
-    fill_frac: float = 0.97
     head_frac: float = 0.2
     thread_slice_frac: float = 0.3
     min_pitch_len_px: float = 200.0
@@ -79,8 +76,6 @@ class PipelineConfig:
             raise ParameterError(f"nudge must be >= 0, got {self.nudge}")
         if not self.perim_ratio > 0:
             raise ParameterError(f"perim_ratio must be > 0, got {self.perim_ratio}")
-        if not 0 < self.fill_frac <= 1:
-            raise ParameterError(f"fill_frac must lie in (0, 1], got {self.fill_frac}")
         if not 0 < self.head_frac <= 0.5:
             raise ParameterError(f"head_frac must lie in (0, 0.5], got {self.head_frac}")
         if not 0 < self.thread_slice_frac <= 1:
@@ -102,9 +97,9 @@ class OrientedBolt:
     """Upright landscape silhouette with the head on the left.
 
     img is the warped silhouette: its width is the length and its height
-    the head width.  counts holds img's white pixel count per column and
-    profile its column profile (cols, top, bot); the area, the perimeter,
-    the shoulder search and the threading test read these two.  src,
+    the head width.  counts holds img's white pixel count per column, which
+    the area reads, and profile its column profile (cols, top, bot), which
+    the perimeter, the shoulder search and the threading test read.  src,
     axis_u and axis_c keep the source frame and the source direction of
     this image's +x axis so measurements can also be taken before
     resampling.
@@ -283,17 +278,16 @@ def remove_head(
 
 
 def classify_threading(
-    bolt: OrientedBolt, h: int, d: float, cfg: PipelineConfig = PipelineConfig()
+    bolt: OrientedBolt, h: int, cfg: PipelineConfig = PipelineConfig()
 ) -> ThreadingType:
     """Classify the body, the upright columns from h on, as fully or half
     threaded.
 
-    Half threading fires on any of three signs read off the column profile
-    of the two halves of the body (threads grow toward the tip, so a plain
-    barrel occupies the left half): left top and bottom points that form a
-    convex contour (geometry.is_contour_convex), a right profile loop more
-    than cfg.perim_ratio times as long as the left one, or a left half
-    filling at least cfg.fill_frac of its d x length box.
+    Threads grow toward the tip, so a half-threaded body keeps a plain
+    barrel in its left half and its thread in the right.  The body is half
+    threaded when the loop round the column profile of its right half
+    (geometry.loop_length) is more than cfg.perim_ratio times as long as
+    the loop round its left half.
     """
     wdt = bolt.img.width - h
     if wdt < 4:
@@ -305,17 +299,9 @@ def classify_threading(
     left = cols < mid
     if left.all() or not left.any():
         raise InsufficientDataError("half of the body is blank")
-    lx = cols[left]
-    edge = np.column_stack([np.r_[lx, lx], np.r_[top[left], bot[left]]])
-    if is_contour_convex(edge):
-        return ThreadingType.HALF
     pl = loop_length(top[left], bot[left])
     pr = loop_length(top[~left], bot[~left])
-    if pr > cfg.perim_ratio * pl:
-        return ThreadingType.HALF
-    if bolt.counts[h : h + mid].sum() >= cfg.fill_frac * d * mid:
-        return ThreadingType.HALF
-    return ThreadingType.FULL
+    return ThreadingType.HALF if pr > cfg.perim_ratio * pl else ThreadingType.FULL
 
 
 def estimate_pitch(
@@ -401,7 +387,7 @@ def extract_features(
     area = run("area", lambda: int(bolt.counts.sum()))
     perimeter = run("perimeter", lambda: loop_length(*bolt.profile[1:]))
     cut = run("head", lambda: remove_head(bolt, minor, cfg))
-    threading = run("threading", lambda: classify_threading(bolt, cut.h, minor, cfg))
+    threading = run("threading", lambda: classify_threading(bolt, cut.h, cfg))
     pitch = None
     if major > cfg.min_pitch_len_px:
         try:

@@ -208,7 +208,7 @@ def test_c5_threading_accuracy(sweep, noisy_run, capsys):
     for spec, angle, bolt, truth in sweep:
         _, minor = measure_axes(bolt)
         h = remove_head(bolt, minor).h
-        if classify_threading(bolt, h, minor) is spec.threading:
+        if classify_threading(bolt, h) is spec.threading:
             clean_ok += 1
     records, _ = noisy_run
     noisy_ok = sum(1 for spec, f, _, _ in records if f.threading is spec.threading)

@@ -108,9 +108,9 @@ def test_build_config_type_errors():
     with pytest.raises(ConfigError):
         build_config(None, ["thresh=2.5"])  # int key
     with pytest.raises(ConfigError):
-        build_config(None, ["fill_frac=lots"])
+        build_config(None, ["perim_ratio=lots"])
     with pytest.raises(ConfigError):
-        build_config(None, ["fill_frac=0"])  # violates the config invariant
+        build_config(None, ["perim_ratio=0"])  # violates the config invariant
     with pytest.raises(ConfigError):
         build_config(None, ["bogus"])
 
@@ -124,6 +124,38 @@ def test_config_errors_name_their_place(tmp_path):
         build_config(None, ["volume=11"])
     with pytest.raises(ConfigError, match="--set: expected key=value"):
         build_config(None, ["bogus"])
+
+
+def _measure_with_config(tmp_path, via: str, item: str) -> int:
+    """Exit code of measure on a black frame, given item by --set or in a file."""
+    frame = tmp_path / "black.pgm"
+    write_black(frame)
+    argv = ["measure", str(frame)]
+    if via == "--set":
+        argv += ["--set", item]
+    else:
+        cfg = tmp_path / "pipeline.cfg"
+        cfg.write_text(item + "\n")
+        argv += ["--config", str(cfg)]
+    return main(argv)
+
+
+@pytest.mark.parametrize("via", ["--set", "file"])
+@pytest.mark.parametrize("item", [
+    "min_pitch_len_px=nan", "perim_ratio=inf", "head_frac=-inf", "thread_slice_frac=NaN",
+])
+def test_non_finite_config_values_exit_2(tmp_path, capsys, via, item):
+    # a NaN slips past every range check and an inf perim_ratio reads every
+    # part FT; PipelineConfig itself still takes inf, as enroll passes it
+    assert _measure_with_config(tmp_path, via, item) == 2
+    err = capsys.readouterr().err
+    assert f"config key '{item.split('=')[0]}' expects a finite number" in err
+
+
+@pytest.mark.parametrize("via", ["--set", "file"])
+def test_fill_frac_is_unknown(tmp_path, capsys, via):
+    assert _measure_with_config(tmp_path, via, "fill_frac=0.97") == 2
+    assert "unknown config key 'fill_frac'" in capsys.readouterr().err
 
 
 def test_build_config_missing_file():

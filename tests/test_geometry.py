@@ -13,7 +13,6 @@ from boltvision.geometry import (
     RotatedRect,
     column_profile,
     convex_hull,
-    is_contour_convex,
     loop_length,
     rect_of_mask,
     warp_to_upright,
@@ -22,7 +21,6 @@ from boltvision.imagecore import (
     AxisRect,
     BinaryImage,
     PixelPoint,
-    connected_components,
     crop,
 )
 
@@ -42,12 +40,6 @@ def mask_of(pts) -> BinaryImage:
     px = np.zeros((arr[:, 1].max() + 1, arr[:, 0].max() + 1), bool)
     px[arr[:, 1], arr[:, 0]] = True
     return BinaryImage(px)
-
-
-def profile_points(img: BinaryImage) -> np.ndarray:
-    """Top and bottom points of an image's column profile as (x, y) rows."""
-    cols, top, bot = column_profile(img)
-    return np.column_stack([np.concatenate([cols, cols]), np.concatenate([top, bot])])
 
 
 def profile_loop(img: BinaryImage) -> float:
@@ -261,43 +253,6 @@ def test_rect_area_invariant_under_90_rotation():
 def test_rect_of_mask_empty():
     with pytest.raises(EmptyInputError):
         rect_of_mask(BinaryImage(np.zeros((3, 3), bool)))
-
-
-# -- convexity ---------------------------------------------------------------
-
-def test_convex_rectangle_boundary():
-    assert is_contour_convex(profile_points(solid(12, 6)))
-
-
-def test_concave_plus_sign():
-    px = np.zeros((15, 15), bool)
-    px[5:10, :] = True
-    px[:, 5:10] = True
-    assert not is_contour_convex(profile_points(BinaryImage(px)))
-
-
-def test_degenerate_contours_are_convex():
-    assert is_contour_convex(profile_points(one_pixel(5, 5, 2, 2)))
-    assert is_contour_convex(profile_points(solid(2, 1)))
-
-
-def test_half_thread_left_body_convex_full_thread_not():
-    from boltvision.synth import RenderParams, render_bolt, standard_catalog
-
-    cat = {s.name: s for s in standard_catalog()}
-
-    def left_half_body(name):
-        spec = cat[name]
-        img, truth = render_bolt(spec, RenderParams(900, 900, PixelPoint(450, 450)))
-        comp = connected_components(img)[0]
-        r = comp.rect
-        x0 = int(round(truth.shoulder_col_px)) + 8
-        body = crop(comp.mask, AxisRect(x0, 0, r.w - x0, r.h))
-        half = crop(body, AxisRect(0, 0, body.width // 2, body.height))
-        return profile_points(half)
-
-    assert is_contour_convex(left_half_body("M10x50_HT"))
-    assert not is_contour_convex(left_half_body("M10x35_FT"))
 
 
 # -- warp --------------------------------------------------------------------

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import ast
+import dataclasses
 import inspect
 from collections import Counter
 from pathlib import Path
@@ -42,6 +43,22 @@ def test_stages_take_their_constants_from_the_config():
         if p.name != "cfg" and p.default is not p.empty
     ]
     assert found == []
+
+
+def test_every_config_field_is_read():
+    # a knob that only its own range check reads changes no output
+    read = set()
+    for path in sorted(Path(boltvision.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        outside = [n for n in tree.body
+                   if not (isinstance(n, ast.ClassDef) and n.name == "PipelineConfig")]
+        read |= {
+            node.attr for top in outside for node in ast.walk(top)
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id == "cfg"
+        }
+    fields = {f.name for f in dataclasses.fields(pipeline.PipelineConfig)}
+    assert fields - read == set()
 
 
 def test_one_csv_reader():

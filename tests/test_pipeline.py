@@ -73,8 +73,6 @@ def test_config_rejects_bad_values():
         PipelineConfig(thresh=-1)
     with pytest.raises(ParameterError):
         PipelineConfig(head_frac=0.8)
-    with pytest.raises(ParameterError):
-        PipelineConfig(fill_frac=0.0)
 
 
 # -- orient ------------------------------------------------------------------
@@ -190,36 +188,45 @@ def test_headless_cylinder_flagged():
 
 # -- threading ---------------------------------------------------------------
 
-def _body(name: str, angle: float = 0.0) -> tuple[OrientedBolt, int, float]:
+def _body(name: str, angle: float = 0.0) -> tuple[OrientedBolt, int]:
     mask, _ = render_mask(name, angle)
     bolt = orient(mask)
     major, minor = measure_axes(bolt)
-    return bolt, remove_head(bolt, minor).h, minor
+    return bolt, remove_head(bolt, minor).h
 
 
 def test_full_thread_classified():
     # at these two angles the left half of M4x75_FT's body holds a
     # detached 1-px fragment that comes first in row-major order
     for name, angle in (("M10x35_FT", 0.0), ("M4x75_FT", 33.9), ("M4x75_FT", 147.3)):
-        bolt, h, d = _body(name, angle)
-        assert classify_threading(bolt, h, d) is ThreadingType.FULL, (name, angle)
+        bolt, h = _body(name, angle)
+        assert classify_threading(bolt, h) is ThreadingType.FULL, (name, angle)
 
 
 def test_half_thread_classified():
-    bolt, h, d = _body("M10x50_HT")
-    assert classify_threading(bolt, h, d) is ThreadingType.HALF
+    bolt, h = _body("M10x50_HT")
+    assert classify_threading(bolt, h) is ThreadingType.HALF
 
 
-def test_threadless_cylinder_reads_half():
-    # documented: a plain cylinder fires the convexity and fill tests
-    bolt = orient(solid_rect(200, 50))
-    assert classify_threading(bolt, 0, 50.0) is ThreadingType.HALF
+def test_threading_turns_on_the_loop_ratio_alone():
+    # the left half of this body is a plain barrel, convex and filling its
+    # box, yet it reads FT once perim_ratio passes its loop ratio
+    bolt, h = _body("M10x50_HT")
+    cols, top, bot = bolt.profile
+    body = cols >= h
+    left = cols[body] - h < (bolt.img.width - h) // 2
+    top, bot = top[body], bot[body]
+    ratio = loop_length(top[~left], bot[~left]) / loop_length(top[left], bot[left])
+    below = PipelineConfig(perim_ratio=ratio * (1 - 1e-9))
+    above = PipelineConfig(perim_ratio=ratio * (1 + 1e-9))
+    assert classify_threading(bolt, h, below) is ThreadingType.HALF
+    assert classify_threading(bolt, h, above) is ThreadingType.FULL
 
 
 def test_threading_needs_width():
     bolt = orient(solid_rect(30, 10))
     with pytest.raises(InsufficientDataError):
-        classify_threading(bolt, bolt.img.width - 3, 10.0)
+        classify_threading(bolt, bolt.img.width - 3)
 
 
 # -- pitch -------------------------------------------------------------------
@@ -244,13 +251,13 @@ def test_pitch_trace_rejects_backwards():
 
 
 def test_pitch_identity_on_returned_trace():
-    bolt, h, _ = _body("M10x50_HT")
+    bolt, h = _body("M10x50_HT")
     trace = estimate_pitch(bolt, h)
     assert trace.pitch_px == (trace.b - trace.a) / (trace.n / 2)
 
 
 def test_pitch_within_mm_tolerance():
-    bolt, h, _ = _body("M8x35_HT")
+    bolt, h = _body("M8x35_HT")
     spec = spec_named("M8x35_HT")
     trace = estimate_pitch(bolt, h)
     assert abs(trace.pitch_px / PPM - spec.pitch_mm) <= 0.07
@@ -378,9 +385,10 @@ def test_body_area_below_full_area():
 
 def test_extract_passes_config_to_every_stage():
     # non-default values for every field a stage reads; on these renders
-    # dropping cfg from any one stage call changes the features
+    # dropping cfg from any one stage call changes the features (a
+    # perim_ratio of 1.7 reads M5x50_HT, loop ratio 1.63, as FT)
     cfg = PipelineConfig(thresh=0, nudge=3, head_frac=0.3, thread_slice_frac=0.25,
-                         perim_ratio=1.3, fill_frac=0.9)
+                         perim_ratio=1.7)
     for name, angle in (("M6x30_FT", 0.0), ("M5x50_HT", 30.0),
                         ("M10x35_FT", 30.0), ("M6x16_FT", 0.0)):
         mask, _ = render_mask(name, angle)
@@ -391,7 +399,7 @@ def test_extract_passes_config_to_every_stage():
         if major > cfg.min_pitch_len_px:
             pitch = estimate_pitch(bolt, h, cfg).pitch_px
         by_hand = BoltFeatures(
-            major, minor, classify_threading(bolt, h, minor, cfg), pitch,
+            major, minor, classify_threading(bolt, h, cfg), pitch,
             int(bolt.counts.sum()), loop_length(*bolt.profile[1:]),
         )
         assert extract_features(mask, cfg) == by_hand, (name, angle)
