@@ -19,12 +19,6 @@ class ParameterError(BoltVisionError, ValueError):
     kind = "parameter"
 
 
-class BoundsError(BoltVisionError, ValueError):
-    """A rectangle or index does not fit inside the image it addresses."""
-
-    kind = "bounds"
-
-
 class EmptyInputError(BoltVisionError):
     """An operation that needs foreground pixels received none."""
 

@@ -12,7 +12,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import BoundsError, ParameterError, PgmFormatError
+from .errors import ParameterError, PgmFormatError
 
 _WHITESPACE = frozenset(b" \t\r\n\x0b\x0c")
 # pixel pairs per np.bincount call in otsu_level: bincount widens its
@@ -237,15 +237,6 @@ def connected_components(img: BinaryImage, min_area: int = 0) -> list[Component]
             mask[rows[k] - y0, starts[k] - x0 : ends[k] - x0 + 1] = True
         comps.append(Component(BinaryImage(mask), rect, int(areas[g])))
     return comps
-
-
-def crop(img, rect: AxisRect):
-    """Cut rect out of img. The rect must lie fully inside the image."""
-    if rect.w <= 0 or rect.h <= 0:
-        raise BoundsError(f"crop rect must have positive size, got {rect}")
-    if rect.x < 0 or rect.y < 0 or rect.x + rect.w > img.width or rect.y + rect.h > img.height:
-        raise BoundsError(f"crop rect {rect} exceeds image {img.width}x{img.height}")
-    return type(img)(img.px[rect.y : rect.y + rect.h, rect.x : rect.x + rect.w])
 
 
 def rotate180(img):

@@ -27,11 +27,12 @@ from .errors import (
 )
 from .geometry import (
     column_profile,
+    convex_hull,
     loop_length,
     rect_of_mask,
     warp_to_upright,
 )
-from .imagecore import AxisRect, BinaryImage, crop, rotate180, white_runs
+from .imagecore import BinaryImage, rotate180, white_runs
 
 
 # scale of the reference setup: the default wherever pixels meet millimetres
@@ -53,7 +54,7 @@ class PipelineConfig:
     from it, so each default and range check lives here alone.
 
     thresh            extra columns discarded past the detected shoulder
-    nudge             scan row used by the pitch estimate
+    nudge             rows below the crest line a pitch crest may reach
     perim_ratio       right/left body loop ratio above which a part is half threaded
     head_frac         fraction of the length searched for the shoulder
     thread_slice_frac fraction of the body, at the tip, used for pitch
@@ -82,7 +83,7 @@ class PipelineConfig:
             raise ParameterError(
                 f"thread_slice_frac must lie in (0, 1], got {self.thread_slice_frac}"
             )
-        if self.min_pitch_len_px < 0:
+        if not self.min_pitch_len_px >= 0:
             raise ParameterError(
                 f"min_pitch_len_px must be >= 0, got {self.min_pitch_len_px}"
             )
@@ -128,11 +129,12 @@ class HeadCut:
 
 @dataclass(frozen=True)
 class PitchTrace:
-    """Crest scan summary: outermost crest centers a..b and crossing count n.
+    """Crest scan summary: outer crest centers a..b and crossing count n.
 
-    pitch_px is derived as (b - a) / (n / 2) and not settable directly.
-    n counts half-period crossings strictly inside (a, b); a closed scan
-    always yields an even n, so an odd count means the trace is corrupt.
+    a and b are the centers of the first and last crest, measured along
+    the crest line.  n is twice the number of whole periods between them,
+    so an odd count means the trace is corrupt.  pitch_px is derived as
+    (b - a) / (n / 2) and not settable directly.
     """
 
     a: float
@@ -169,10 +171,6 @@ class BoltFeatures:
     perimeter_px: float
 
 
-def _rot90_cw(img: BinaryImage) -> BinaryImage:
-    return BinaryImage(np.rot90(img.px, k=-1))
-
-
 def orient(component: BinaryImage) -> OrientedBolt:
     """Warp a single-component silhouette upright, head at the left.
 
@@ -186,7 +184,7 @@ def orient(component: BinaryImage) -> OrientedBolt:
     axis_u = (math.cos(t), math.sin(t))
     axis_v = (-math.sin(t), math.cos(t))
     if up.height > up.width:
-        up = _rot90_cw(up)
+        up = BinaryImage(np.rot90(up.px, k=-1))
         axis_u, axis_v = (-axis_v[0], -axis_v[1]), axis_u
     counts = np.count_nonzero(up.px, axis=0)
     half = up.width // 2
@@ -307,50 +305,57 @@ def classify_threading(
 def estimate_pitch(
     bolt: OrientedBolt, h: int, cfg: PipelineConfig = PipelineConfig()
 ) -> PitchTrace:
-    """Read the thread pitch off a scan row near the top of the tip slice.
+    """Read the thread pitch off the crest line of the tip slice's profile.
 
-    The rightmost cfg.thread_slice_frac of the body, the upright columns
-    from h on, is squared up on its own rect, then the row cfg.nudge rows
-    below the top edge is run-length scanned.  Single-pixel holes are
-    filled first: nearest-neighbor resampling can punch them through a
-    crest run, splitting it in two, while genuine inter-crest gaps are
-    always wider.  A wider noise hole still splits a crest, so runs whose
-    gap is under a quarter of the median gap are joined next.  Runs within
-    2 px of either slice edge are truncated crests and are dropped; losing
-    a whole end crest is harmless because the surviving centers stay
-    exactly one pitch apart.  The centers of the m surviving runs give a,
-    b and n = 2 * (m - 1); fewer than 3 runs cannot support an estimate.
+    The slice is the rightmost cfg.thread_slice_frac of the body, the
+    upright columns from h on; each of its columns is read from
+    bolt.profile, so no image is cut.  The crest line is the widest edge
+    of the top chain of the hull of the slice's (column, top row) points,
+    and a column is crest when its top lies within cfg.nudge rows below
+    that line (to the nearest row).  Single-pixel holes in that row of
+    crest flags are filled first: nearest-neighbor resampling can punch
+    them through a crest run, splitting it in two, while genuine
+    inter-crest gaps are always wider.  A wider noise hole still splits a
+    crest, so runs whose gap is under a quarter of the median gap are
+    joined next.  Runs within 2 px of either slice edge are truncated
+    crests and are dropped.  The centers of the m surviving runs, taken
+    along the crest line, give a and b, and each gap between neighbours
+    counts as a whole number of median gaps, so a crest lost to noise
+    leaves the period count as it was; fewer than 3 runs cannot support an
+    estimate.
     """
     l = bolt.img.width
     k = max(1, int(round((l - h) * cfg.thread_slice_frac)))
-    sl = crop(bolt.img, AxisRect(l - k, 0, k, bolt.img.height))
-    rect = rect_of_mask(sl)
-    up = warp_to_upright(sl, rect)
-    # keep the thread axis horizontal: the slice can be narrower than the
-    # bolt is thick, so pick the rotation by the rect's w direction rather
-    # than by the output aspect
-    if rect.angle <= -45.0:
-        up = _rot90_cw(up)
-    if cfg.nudge >= up.height:
-        raise InsufficientCrestsError(
-            f"scan row {cfg.nudge} lies outside the slice (height {up.height})"
-        )
-    row = up.px[cfg.nudge].copy()
-    if row.size >= 3:
-        row[1:-1] |= row[:-2] & row[2:]
+    cols, top, _ = bolt.profile
+    tip = cols >= l - k
+    x, top = cols[tip] - (l - k), top[tip]
+    hull = convex_hull(np.column_stack([x, top]))
+    # the hull runs counter-clockwise on screen from its leftmost point, so
+    # its top chain is the edges that run right to left
+    dx, dy = (np.roll(hull, -1, axis=0) - hull).T
+    e = int(np.argmin(dx))
+    if not dx[e] < 0:
+        raise InsufficientCrestsError(f"tip slice of {k} columns has no crest line")
+    slope = dy[e] / dx[e]
+    line = hull[e, 1] + slope * (x - hull[e, 0])
+    row = np.zeros(k, dtype=bool)
+    row[x] = top <= np.floor(line + cfg.nudge + 0.5)
+    row[1:-1] |= row[:-2] & row[2:]
     _, starts, ends = white_runs(row[None, :])
     gaps = starts[1:] - ends[:-1] - 1
     if gaps.size:
         join = gaps < np.median(gaps) / 4.0
         starts, ends = starts[np.r_[True, ~join]], ends[np.r_[~join, True]]
-    interior = (starts > 2) & (ends < row.size - 3)
+    interior = (starts > 2) & (ends < k - 3)
     m = int(interior.sum())
     if m < 3:
         raise InsufficientCrestsError(
-            f"only {m} interior crest runs on scan row {cfg.nudge}"
+            f"only {m} interior crest runs {cfg.nudge} rows below the crest line"
         )
-    centers = (starts[interior] + ends[interior]) / 2.0
-    return PitchTrace(float(centers[0]), float(centers[-1]), 2 * (m - 1))
+    centers = (starts[interior] + ends[interior]) / 2.0 * math.hypot(1.0, slope)
+    steps = np.diff(centers)
+    periods = int(np.rint(steps / np.median(steps)).sum())
+    return PitchTrace(float(centers[0]), float(centers[-1]), 2 * periods)
 
 
 # extract_features' stage names, in the order they run

@@ -8,14 +8,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from boltvision.errors import BoundsError, EmptyInputError, ParameterError, PgmFormatError
+from boltvision.errors import EmptyInputError, ParameterError, PgmFormatError
 from boltvision.imagecore import (
     AxisRect,
     BinaryImage,
     GrayImage,
     PixelPoint,
     connected_components,
-    crop,
     otsu_level,
     read_binary_pgm,
     read_pgm,
@@ -135,10 +134,6 @@ def test_threshold_monotone(img, t):
 
 
 # -- white count -------------------------------------------------------------
-
-def test_count_region():
-    assert np.count_nonzero(crop(solid(10, 10), AxisRect(0, 0, 5, 5)).px) == 25
-
 
 def test_count_matches_renderer():
     from boltvision.synth import RenderParams, render_bolt, standard_catalog
@@ -279,30 +274,7 @@ def test_components_row_major_order(img):
     assert rects == sorted(rects, key=lambda r: (r.y, r.x))
 
 
-# -- crop / rotate -----------------------------------------------------------
-
-def test_crop_full_extent_is_identity():
-    img = BinaryImage(np.eye(5, dtype=bool))
-    assert crop(img, AxisRect(0, 0, 5, 5)) == img
-
-
-def test_crop_single_white():
-    assert crop(solid(3, 3), AxisRect(0, 0, 1, 1)) == solid(1, 1)
-
-
-def test_crop_out_of_bounds():
-    with pytest.raises(BoundsError):
-        crop(solid(3, 3), AxisRect(1, 1, 3, 3))
-
-
-def test_crop_right_half_count_matches_region_count():
-    from boltvision.synth import RenderParams, render_bolt, standard_catalog
-
-    cat = {s.name: s for s in standard_catalog()}
-    img, _ = render_bolt(cat["M8x35_HT"], RenderParams(500, 500, PixelPoint(250, 250)))
-    region = AxisRect(250, 0, 250, 500)
-    assert np.count_nonzero(crop(img, region).px) == np.count_nonzero(img.px, axis=0)[250:].sum()
-
+# -- rotate ------------------------------------------------------------------
 
 def test_rotate180_corner_pixel():
     px = np.zeros((5, 5), bool)
@@ -321,11 +293,6 @@ def test_rotate180_symmetric_image():
 @given(binary_images)
 def test_rotate180_involution(img):
     assert rotate180(rotate180(img)) == img
-
-
-@given(binary_images)
-def test_full_crop_identity(img):
-    assert crop(img, AxisRect(0, 0, img.width, img.height)) == img
 
 
 # -- PGM ---------------------------------------------------------------------

@@ -73,6 +73,8 @@ def test_config_rejects_bad_values():
         PipelineConfig(thresh=-1)
     with pytest.raises(ParameterError):
         PipelineConfig(head_frac=0.8)
+    with pytest.raises(ParameterError):
+        PipelineConfig(min_pitch_len_px=math.nan)
 
 
 # -- orient ------------------------------------------------------------------
@@ -282,6 +284,26 @@ def test_pitch_joins_crest_split_by_wide_hole():
 def test_pitch_smooth_cylinder():
     with pytest.raises(InsufficientCrestsError):
         estimate_pitch(orient(solid_rect(400, 60)), 0)
+    # a body whose tip slice is one column wide has no crest line
+    with pytest.raises(InsufficientCrestsError):
+        estimate_pitch(orient(solid_rect(400, 60)), 398)
+
+
+# (spec, angle in degrees, seed): noisy sweep renders on which a pitch read
+# off the tip slice's warped scan row at nudge 1 missed the 0.07 mm gate
+NUDGE_1_POSES = (
+    ("M8x20_FT", 60.0, 67), ("M5x25_HT", 330.0, 88), ("M8x45_FT", 240.0, 241),
+    ("M8x65_FT", 60.0, 259), ("M8x75_HT", 180.0, 275), ("M12x65_FT", 30.0, 378),
+)
+
+
+@pytest.mark.parametrize("name, angle, seed", NUDGE_1_POSES)
+def test_pitch_at_nudge_1_on_noisy_renders(name, angle, seed):
+    mask, truth = render_mask(name, angle, noise=0.002, seed=seed)
+    bolt = orient(mask)
+    h = remove_head(bolt, measure_axes(bolt)[1]).h
+    trace = estimate_pitch(bolt, h, PipelineConfig(nudge=1))
+    assert abs(trace.pitch_px - truth.pitch_px) / PPM <= 0.07
 
 
 # -- extract_features --------------------------------------------------------
@@ -341,7 +363,7 @@ FT, HT = ThreadingType.FULL, ThreadingType.HALF
 # (spec, angle, noise) -> features; seed 5 for every render
 PINNED_FEATURES = {
     ("M4x75_FT", 30.0, 0.0): BoltFeatures(
-        933.0, 50.540704744423294, FT, 8.689655172413794, 41394, 4112.1559133593255),
+        933.0, 50.540704744423294, FT, 8.706896551724139, 41394, 4112.1559133593255),
     ("M12x75_HT", 0.0, 0.0): BoltFeatures(
         932.0, 150.00000000000003, HT, 21.75, 142290, 2812.126117170304),
     ("M5x12_FT", 45.0, 0.0): BoltFeatures(
@@ -355,7 +377,7 @@ PINNED_FEATURES = {
     ("M6x16_FT", 300.0, 0.002): BoltFeatures(
         200.0, 75.47220930324428, FT, None, 15504, 910.8498551495555),
     ("M10x50_HT", 250.0, 0.002): BoltFeatures(
-        622.0, 125.16907440910404, HT, 18.571428571428573, 80611, 2144.7362902255704),
+        622.0, 125.16907440910404, HT, 18.5, 80611, 2144.7362902255704),
 }
 
 
