@@ -228,4 +228,5 @@ def warp_to_upright(img: BinaryImage, r: RotatedRect) -> BinaryImage:
         idx += fx.astype(np.intp)
         # an index outside the source is clipped to it, then masked off
         out[r0 : r0 + _WARP_ROWS] = src.take(idx, mode="clip") & valid
+    out.setflags(write=False)
     return BinaryImage(out)

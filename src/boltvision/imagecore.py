@@ -7,6 +7,7 @@ positions (the geometry module) works with pixel centers at (x+0.5, y+0.5).
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -19,6 +20,10 @@ _WHITESPACE = frozenset(b" \t\r\n\x0b\x0c")
 # input to intp, 8 bytes a pair, so a whole 2048x2048 frame would copy to
 # 16 MB where a block copies to 512 kB
 _HIST_BLOCK = 1 << 16
+# padded bytes per block of rows in white_runs: the padded copy and its
+# comparison stay this small where whole-frame ones take 4 MB each on a
+# 2048x2048 frame
+_RUN_BLOCK = 1 << 18
 
 
 class PixelPoint(NamedTuple):
@@ -44,22 +49,33 @@ def _as_2d(px: object, what: str) -> np.ndarray:
     return a
 
 
+def _read_only(a: np.ndarray, dtype) -> np.ndarray:
+    """a itself when it is read-only and of dtype, else a read-only copy
+    of it in dtype."""
+    if a.dtype != dtype or a.flags.writeable:
+        a = a.astype(dtype)
+        a.setflags(write=False)
+    return a
+
+
 @dataclass(frozen=True, eq=False)
 class GrayImage:
-    """8-bit grayscale image. The pixel array is copied and made read-only."""
+    """8-bit grayscale image with a read-only pixel array.
+
+    A writeable uint8 array is copied, and any other dtype converted, so
+    later writes through the caller's array never reach the image.  A
+    read-only uint8 array is kept as it is, view or not, so whoever holds
+    its base must not change it; a view of immutable bytes, as read_pgm
+    makes, never can.
+    """
 
     px: np.ndarray
 
     def __post_init__(self):
         a = _as_2d(self.px, "gray image")
-        if a.dtype != np.uint8:
-            if a.size and (a.min() < 0 or a.max() > 255):
-                raise ParameterError("gray pixel values must lie in 0..255")
-            a = a.astype(np.uint8)
-        else:
-            a = a.copy()
-        a.setflags(write=False)
-        object.__setattr__(self, "px", a)
+        if a.dtype != np.uint8 and a.size and (a.min() < 0 or a.max() > 255):
+            raise ParameterError("gray pixel values must lie in 0..255")
+        object.__setattr__(self, "px", _read_only(a, np.uint8))
 
     @property
     def width(self) -> int:
@@ -77,15 +93,17 @@ class GrayImage:
 
 @dataclass(frozen=True, eq=False)
 class BinaryImage:
-    """Binary image, True is foreground (white). Copied and made read-only."""
+    """Binary image, True is foreground (white), with a read-only array.
+
+    Copies and conversions follow GrayImage: a writeable bool array is
+    copied, another dtype converted, and a read-only bool array kept.
+    """
 
     px: np.ndarray
 
     def __post_init__(self):
         a = _as_2d(self.px, "binary image")
-        a = a.astype(bool) if a.dtype != np.bool_ else a.copy()
-        a.setflags(write=False)
-        object.__setattr__(self, "px", a)
+        object.__setattr__(self, "px", _read_only(a, np.bool_))
 
     @property
     def width(self) -> int:
@@ -149,29 +167,51 @@ def otsu_level(img: GrayImage) -> int:
 
 
 def threshold(img: GrayImage, level: int | None = None) -> BinaryImage:
-    """Binarise: white iff value > level; None picks otsu_level(img)."""
+    """Binarise: white iff value > level; None picks otsu_level(img).
+
+    A level must be an integer (Python or numpy) in 0..255.
+    """
     if level is None:
         level = otsu_level(img)
-    elif not 0 <= int(level) <= 255:
-        raise ParameterError(f"threshold level must lie in 0..255, got {level}")
-    return BinaryImage(img.px > int(level))
+    else:
+        try:
+            level = operator.index(level)
+        except TypeError:
+            raise ParameterError(f"threshold level must be an integer, got {level!r}") from None
+        if not 0 <= level <= 255:
+            raise ParameterError(f"threshold level must lie in 0..255, got {level}")
+    out = img.px > level
+    out.setflags(write=False)
+    return BinaryImage(out)
 
 
 def white_runs(px: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Maximal horizontal white runs as (rows, starts, ends), ends inclusive.
 
     Sorted by (row, start).  A padding column on each side keeps row
-    transitions from merging across the raveled row boundary.
+    transitions from merging across the raveled row boundary.  The rows
+    are padded and compared a block of about 256 kB at a time (one row at
+    least), in one buffer whose padding columns stay black, so no
+    frame-sized copy or comparison is made.
     """
     h, w = px.shape
-    padded = np.zeros((h, w + 2), dtype=bool)
-    padded[:, 1:-1] = px
-    flat = padded.ravel()
-    # the padding makes every run open and close inside its row, so the
-    # changes alternate start, end
-    t = np.flatnonzero(flat[1:] != flat[:-1])
-    starts, ends = t[0::2], t[1::2]
-    return starts // (w + 2), starts % (w + 2), ends % (w + 2) - 1
+    stride = w + 2
+    step = max(1, _RUN_BLOCK // stride)
+    padded = np.zeros((min(h, step), stride), dtype=bool)
+    rows, starts, ends = [], [], []
+    for r0 in range(0, h, step):
+        block = px[r0 : r0 + step]
+        pad = padded[: block.shape[0]]
+        pad[:, 1:-1] = block
+        flat = pad.ravel()
+        # the padding makes every run open and close inside its row, so
+        # the changes alternate start, end
+        t = np.flatnonzero(flat[1:] != flat[:-1])
+        s, e = t[0::2], t[1::2]
+        rows.append(s // stride + r0)
+        starts.append(s % stride)
+        ends.append(e % stride - 1)
+    return np.concatenate(rows), np.concatenate(starts), np.concatenate(ends)
 
 
 def connected_components(img: BinaryImage, min_area: int = 0) -> list[Component]:
@@ -235,12 +275,14 @@ def connected_components(img: BinaryImage, min_area: int = 0) -> list[Component]
         mask = np.zeros((rect.h, rect.w), dtype=bool)
         for k in range(first[g], last[g] + 1):
             mask[rows[k] - y0, starts[k] - x0 : ends[k] - x0 + 1] = True
+        mask.setflags(write=False)
         comps.append(Component(BinaryImage(mask), rect, int(areas[g])))
     return comps
 
 
 def rotate180(img):
-    """Rotate half a turn, preserving the image type."""
+    """Rotate half a turn, preserving the image type; a view of img's
+    read-only array."""
     return type(img)(img.px[::-1, ::-1])
 
 
@@ -299,7 +341,10 @@ def _parse_pgm(data: bytes) -> tuple[np.ndarray, int]:
 
 
 def read_pgm(data: bytes) -> GrayImage:
-    """Decode binary PGM (P5). Accepts comments and loose header whitespace."""
+    """Decode binary PGM (P5). Accepts comments and loose header whitespace.
+
+    The image is a read-only view of data's raster, not a copy.
+    """
     px, _ = _parse_pgm(data)
     return GrayImage(px)
 
@@ -317,7 +362,9 @@ def read_binary_pgm(data: bytes) -> BinaryImage:
     if bad.size:
         raise PgmFormatError(f"pixel value {px.ravel()[bad[0]]} is neither 0 nor 255",
                              raster + int(bad[0]))
-    return BinaryImage(px == 255)
+    white = px == 255
+    white.setflags(write=False)
+    return BinaryImage(white)
 
 
 def write_binary_pgm(img: BinaryImage) -> bytes:

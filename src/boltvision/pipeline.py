@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 import time
 from dataclasses import dataclass, field
 
@@ -71,10 +72,14 @@ class PipelineConfig:
     min_component_area: int = 50
 
     def __post_init__(self):
-        if int(self.thresh) < 0:
-            raise ParameterError(f"thresh must be >= 0, got {self.thresh}")
-        if int(self.nudge) < 0:
-            raise ParameterError(f"nudge must be >= 0, got {self.nudge}")
+        for name in ("thresh", "nudge", "min_component_area"):
+            value = getattr(self, name)
+            try:
+                operator.index(value)
+            except TypeError:
+                raise ParameterError(f"{name} must be an integer, got {value!r}") from None
+            if value < 0:
+                raise ParameterError(f"{name} must be >= 0, got {value}")
         if not self.perim_ratio > 0:
             raise ParameterError(f"perim_ratio must be > 0, got {self.perim_ratio}")
         if not 0 < self.head_frac <= 0.5:
@@ -86,10 +91,6 @@ class PipelineConfig:
         if not self.min_pitch_len_px >= 0:
             raise ParameterError(
                 f"min_pitch_len_px must be >= 0, got {self.min_pitch_len_px}"
-            )
-        if int(self.min_component_area) < 0:
-            raise ParameterError(
-                f"min_component_area must be >= 0, got {self.min_component_area}"
             )
 
 
@@ -237,10 +238,11 @@ def measure_axes(bolt: OrientedBolt) -> tuple[float, float]:
         hi = np.where(at, mid, hi)
         lo = np.where(at, lo, np.minimum(mid + 1, hi))
     cols = np.arange(w)
-    keep = cols >= hi[:, None] if flips_to else cols < hi[:, None]
-    tip = px & keep
+    tip = cols >= hi[:, None] if flips_to else cols < hi[:, None]
+    np.logical_and(tip, px, out=tip)
     if not bool(tip.any()):
         raise MalformedBoltError("tip half of the bolt is empty")
+    tip.setflags(write=False)
     rect = rect_of_mask(BinaryImage(tip))
     return major, min(rect.size_w, rect.size_h)
 

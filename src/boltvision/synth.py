@@ -189,6 +189,7 @@ def render_bolt(spec: BoltSpec, params: RenderParams) -> tuple[BinaryImage, Grou
 
     canvas = np.zeros((params.canvas_h, params.canvas_w), dtype=bool)
     canvas[y0:y1, x0:x1] = head | shank
+    canvas.setflags(write=False)
     ys, xs = np.nonzero(canvas)
     placement = AxisRect(
         int(xs.min()),
@@ -220,7 +221,9 @@ def add_noise(img: BinaryImage, rate: float, seed: int = 0) -> BinaryImage:
         return img
     rng = np.random.default_rng(seed)
     flips = rng.random(img.px.shape) < rate
-    return BinaryImage(img.px ^ flips)
+    flips ^= img.px
+    flips.setflags(write=False)
+    return BinaryImage(flips)
 
 
 _HEAD_WIDTH_MM = {4: 7.0, 5: 8.0, 6: 10.0, 8: 13.0, 10: 16.0, 12: 18.0}

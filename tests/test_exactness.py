@@ -1,10 +1,11 @@
-"""Three fast kernels against the plain code they replaced.
+"""Four fast kernels against the plain code they replaced.
 
 Each oracle below is the former implementation of its kernel: the
 convex hull without the octagon prefilter, the warp over whole-image
-coordinate grids and the tip mask filled from np.nonzero.  The kernels
-must match them exactly, not within a tolerance.  The Otsu histogram is
-checked against an exhaustive scan in test_imagecore.py.
+coordinate grids, the tip mask filled from np.nonzero and the white runs
+found over one padded copy of the whole frame.  The kernels must match
+them exactly, not within a tolerance.  The Otsu histogram is checked
+against an exhaustive scan in test_imagecore.py.
 """
 
 from __future__ import annotations
@@ -17,10 +18,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from boltvision import pipeline
+from boltvision import imagecore, pipeline
 from boltvision.errors import MalformedBoltError
 from boltvision.geometry import RotatedRect, column_profile, convex_hull, warp_to_upright
-from boltvision.imagecore import BinaryImage, PixelPoint
+from boltvision.imagecore import BinaryImage, PixelPoint, white_runs
 from boltvision.pipeline import OrientedBolt, measure_axes, orient
 from boltvision.synth import RenderParams, render_bolt, standard_catalog
 
@@ -246,3 +247,42 @@ def test_empty_tip_still_raises():
     bolt = _bolt(_noisy(20, 20, 1), (1.0, 0.0), 1e6)
     with pytest.raises(MalformedBoltError):
         measure_axes(bolt)
+
+
+# -- white_runs ------------------------------------------------------------------
+
+def _runs_oracle(px: np.ndarray):
+    h, w = px.shape
+    padded = np.zeros((h, w + 2), dtype=bool)
+    padded[:, 1:-1] = px
+    flat = padded.ravel()
+    t = np.flatnonzero(flat[1:] != flat[:-1])
+    starts, ends = t[0::2], t[1::2]
+    return starts // (w + 2), starts % (w + 2), ends % (w + 2) - 1
+
+
+def _assert_same_runs(px: np.ndarray) -> None:
+    got, want = white_runs(px), _runs_oracle(px)
+    for g, o in zip(got, want):
+        assert g.dtype == o.dtype and np.array_equal(g, o)
+
+
+@pytest.mark.parametrize("h, w, blocks", [
+    (40, 30, 1),
+    (300, 1000, 2),        # the second block is short
+    (2048, 2048, 17),      # a large frame
+    (3, 300_000, 3),       # each row is wider than a block
+    (1, 500, 1),
+])
+def test_runs_equal_oracle_across_blocks(h, w, blocks):
+    step = max(1, imagecore._RUN_BLOCK // (w + 2))
+    assert -(-h // step) == blocks
+    _assert_same_runs(_noisy(h, w, h + w).px)
+
+
+@given(arrays(bool, st.tuples(st.integers(1, 30), st.integers(1, 30))),
+       st.integers(1, 100))
+def test_runs_equal_oracle_at_random_block_sizes(px, block):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(imagecore, "_RUN_BLOCK", block)
+        _assert_same_runs(px)

@@ -51,12 +51,36 @@ def test_images_compare_by_content():
     assert a != solid(3, 3)
 
 
+def test_images_copy_a_writeable_array():
+    gray, white = np.zeros((2, 3), np.uint8), np.zeros((2, 3), bool)
+    g, b = GrayImage(gray), BinaryImage(white)
+    gray[0, 0], white[0, 0] = 9, True
+    assert g.px[0, 0] == 0 and not b.px[0, 0]
+    assert not g.px.flags.writeable and not b.px.flags.writeable
+
+
+def test_images_keep_a_read_only_array():
+    gray, white = np.zeros((2, 3), np.uint8), np.zeros((2, 3), bool)
+    gray.setflags(write=False)
+    white.setflags(write=False)
+    assert np.shares_memory(GrayImage(gray).px, gray)
+    b = BinaryImage(white)
+    assert np.shares_memory(b.px, white)
+    assert np.shares_memory(rotate180(b).px, white)
+
+
+def test_read_pgm_views_the_bytes():
+    data = write_pgm(GrayImage(np.arange(12, dtype=np.uint8).reshape(3, 4)))
+    assert np.shares_memory(read_pgm(data).px, np.frombuffer(data, np.uint8))
+
+
 # -- threshold ---------------------------------------------------------------
 
 def test_fixed_level_all_above():
     img = GrayImage(np.full((4, 4), 200, np.uint8))
     out = threshold(img, level=128)
     assert np.count_nonzero(out.px) == 16
+    assert not out.px.flags.writeable
 
 
 def test_fixed_level_all_below():
@@ -67,10 +91,11 @@ def test_fixed_level_all_below():
 
 def test_fixed_level_validates_range():
     img = GrayImage(np.zeros((2, 2), np.uint8))
-    with pytest.raises(ParameterError):
-        threshold(img, level=-1)
-    with pytest.raises(ParameterError):
-        threshold(img, level=256)
+    for level in [-1, 256, math.nan, math.inf, -math.inf, 2.5, 7.0, "7"]:
+        with pytest.raises(ParameterError):
+            threshold(img, level=level)
+    # numpy integers are integers
+    assert threshold(img, level=np.int64(0)) == threshold(img, level=np.uint8(0))
 
 
 def _otsu_oracle(px: np.ndarray) -> int:

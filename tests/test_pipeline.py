@@ -75,6 +75,11 @@ def test_config_rejects_bad_values():
         PipelineConfig(head_frac=0.8)
     with pytest.raises(ParameterError):
         PipelineConfig(min_pitch_len_px=math.nan)
+    # the integer fields take integers only
+    for name in ("thresh", "nudge", "min_component_area"):
+        for value in (math.nan, math.inf, 2.5):
+            with pytest.raises(ParameterError):
+                PipelineConfig(**{name: value})
 
 
 # -- orient ------------------------------------------------------------------
