@@ -475,15 +475,25 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
 # -- entry point -------------------------------------------------------------
 
-def _positive_float(text: str) -> float:
-    """argparse type of --px-per-mm: a finite number above zero."""
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not 0.0 < value < math.inf:
-        raise argparse.ArgumentTypeError(f"must be a finite number > 0, got '{text}'")
-    return value
+def _checked(parse, ok, want: str):
+    """An argparse type: parse(text), kept only when ok(value) holds."""
+
+    def convert(text: str):
+        try:
+            value = parse(text)
+        except ValueError:
+            value = None
+        if value is None or not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {want}, got '{text}'")
+        return value
+
+    return convert
+
+
+# --px-per-mm, --reject-frac (where inf disables the rejection) and --seed
+_positive_float = _checked(float, lambda v: 0.0 < v < math.inf, "a finite number > 0")
+_reject_frac = _checked(float, lambda v: v > 0.0, "a number > 0 or inf")
+_seed = _checked(int, lambda v: v >= 0, "an integer >= 0")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -519,7 +529,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", metavar="PATH", help="write the JSON report here")
     p.add_argument("--truth", metavar="PATH",
                    help="ground-truth manifest; adds accuracy to the summary")
-    p.add_argument("--reject-frac", dest="reject_frac", type=float, default=REJECT_FRAC,
+    p.add_argument("--reject-frac", dest="reject_frac", type=_reject_frac, default=REJECT_FRAC,
                    help="unknown when distance exceeds this fraction of the "
                         "major axis (inf to disable)")
     p.set_defaults(func=cmd_identify)
@@ -541,7 +551,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="random mode: total number of renders")
     p.add_argument("--noise", type=float, default=0.0,
                    help="salt-and-pepper flip rate (default 0)")
-    p.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
+    p.add_argument("--seed", type=_seed, default=0, help="RNG seed (default 0)")
     scale(p)
     p.set_defaults(func=cmd_gen)
 

@@ -309,8 +309,12 @@ def _parse_token(data: bytes, pos: int) -> tuple[bytes, int, int]:
     return data[start:pos], start, pos
 
 
-def _parse_pgm(data: bytes) -> tuple[np.ndarray, int]:
-    """Parse P5 bytes into a (pixels, raster_offset) pair."""
+def read_pgm(data: bytes) -> GrayImage:
+    """Decode binary PGM (P5). Accepts comments and loose header whitespace.
+
+    The image is a read-only view of data's raster, not a copy.  A binary
+    frame reads as gray 0 and 255; threshold(img, 0) turns it back.
+    """
     if data[:2] != b"P5":
         raise PgmFormatError("not a P5 file", 0)
     pos = 2
@@ -337,15 +341,6 @@ def _parse_pgm(data: bytes) -> tuple[np.ndarray, int]:
         if data[k] not in _WHITESPACE:
             raise PgmFormatError("trailing data after raster", k)
     px = np.frombuffer(data, dtype=np.uint8, count=w * h, offset=raster).reshape(h, w)
-    return px, raster
-
-
-def read_pgm(data: bytes) -> GrayImage:
-    """Decode binary PGM (P5). Accepts comments and loose header whitespace.
-
-    The image is a read-only view of data's raster, not a copy.
-    """
-    px, _ = _parse_pgm(data)
     return GrayImage(px)
 
 
@@ -353,18 +348,6 @@ def write_pgm(img: GrayImage) -> bytes:
     """Encode canonical P5: magic, dims and maxval on one line each."""
     header = f"P5\n{img.width} {img.height}\n255\n".encode("ascii")
     return header + img.px.tobytes()
-
-
-def read_binary_pgm(data: bytes) -> BinaryImage:
-    """Decode P5 holding only values 0 and 255; anything else is an error."""
-    px, raster = _parse_pgm(data)
-    bad = np.flatnonzero((px != 0) & (px != 255))
-    if bad.size:
-        raise PgmFormatError(f"pixel value {px.ravel()[bad[0]]} is neither 0 nor 255",
-                             raster + int(bad[0]))
-    white = px == 255
-    white.setflags(write=False)
-    return BinaryImage(white)
 
 
 def write_binary_pgm(img: BinaryImage) -> bytes:

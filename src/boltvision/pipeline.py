@@ -38,6 +38,8 @@ from .imagecore import BinaryImage, rotate180, white_runs
 
 # scale of the reference setup: the default wherever pixels meet millimetres
 DEFAULT_PX_PER_MM = 12.42
+# bytes of float64 projections measure_axes computes per block of rows
+_TIP_BLOCK = 1 << 18
 
 
 class ThreadingType(enum.Enum):
@@ -99,16 +101,15 @@ class OrientedBolt:
     """Upright landscape silhouette with the head on the left.
 
     img is the warped silhouette: its width is the length and its height
-    the head width.  counts holds img's white pixel count per column, which
-    the area reads, and profile its column profile (cols, top, bot), which
-    the perimeter, the shoulder search and the threading test read.  src,
+    the head width; the area counts its white pixels.  profile is its
+    column profile (cols, top, bot), which the perimeter, the shoulder
+    search, the threading test and the pitch scan read.  src,
     axis_u and axis_c keep the source frame and the source direction of
     this image's +x axis so measurements can also be taken before
     resampling.
     """
 
     img: BinaryImage
-    counts: np.ndarray
     profile: tuple[np.ndarray, np.ndarray, np.ndarray]
     src: BinaryImage
     axis_u: tuple[float, float]
@@ -183,20 +184,16 @@ def orient(component: BinaryImage) -> OrientedBolt:
     up = warp_to_upright(component, rect)
     t = math.radians(rect.angle)
     axis_u = (math.cos(t), math.sin(t))
-    axis_v = (-math.sin(t), math.cos(t))
     if up.height > up.width:
         up = BinaryImage(np.rot90(up.px, k=-1))
-        axis_u, axis_v = (-axis_v[0], -axis_v[1]), axis_u
-    counts = np.count_nonzero(up.px, axis=0)
+        axis_u = (math.sin(t), -math.cos(t))
     half = up.width // 2
-    if counts[up.width - half :].sum() > counts[:half].sum():
+    if np.count_nonzero(up.px[:, up.width - half :]) > np.count_nonzero(up.px[:, :half]):
         up = rotate180(up)
-        counts = counts[::-1]
         axis_u = (-axis_u[0], -axis_u[1])
     cx, cy = rect.center
     return OrientedBolt(
         img=up,
-        counts=counts,
         profile=column_profile(up),
         src=component,
         axis_u=axis_u,
@@ -217,28 +214,20 @@ def measure_axes(bolt: OrientedBolt) -> tuple[float, float]:
     longer than the part is thick.
 
     A source pixel (x, y) lies on the tip side when its center projects
-    onto axis_u at or past axis_c.  Along one row that projection is
-    monotone in x, so the tip side of each row is the run of columns from,
-    or up to, one cut found by bisection on the same float expression.
+    onto axis_u at or past axis_c.  Every pixel is tested, a block of rows
+    at a time so the projections never take more than _TIP_BLOCK bytes.
     """
     major = float(bolt.img.width)
     px = bolt.src.px
     h, w = px.shape
     ux, uy = bolt.axis_u
+    col_term = (np.arange(w) + 0.5) * ux
     row_term = (np.arange(h) + 0.5) * uy
-    # per row, the first column at which the test flips: from tip false to
-    # true when ux >= 0 (the test is one value across the row when ux is
-    # 0), from true to false when ux < 0
-    flips_to = ux >= 0
-    lo = np.zeros(h, dtype=np.intp)
-    hi = np.full(h, w, dtype=np.intp)
-    for _ in range(w.bit_length()):
-        mid = (lo + hi) // 2
-        at = ((mid + 0.5) * ux + row_term >= bolt.axis_c) == flips_to
-        hi = np.where(at, mid, hi)
-        lo = np.where(at, lo, np.minimum(mid + 1, hi))
-    cols = np.arange(w)
-    tip = cols >= hi[:, None] if flips_to else cols < hi[:, None]
+    step = max(1, _TIP_BLOCK // (8 * w))
+    tip = np.empty((h, w), dtype=bool)
+    for r0 in range(0, h, step):
+        rows = slice(r0, r0 + step)
+        np.greater_equal(col_term + row_term[rows, None], bolt.axis_c, out=tip[rows])
     np.logical_and(tip, px, out=tip)
     if not bool(tip.any()):
         raise MalformedBoltError("tip half of the bolt is empty")
@@ -391,7 +380,7 @@ def extract_features(
 
     bolt = run("orient", lambda: orient(component))
     major, minor = run("axes", lambda: measure_axes(bolt))
-    area = run("area", lambda: int(bolt.counts.sum()))
+    area = run("area", lambda: int(np.count_nonzero(bolt.img.px)))
     perimeter = run("perimeter", lambda: loop_length(*bolt.profile[1:]))
     cut = run("head", lambda: remove_head(bolt, minor, cfg))
     threading = run("threading", lambda: classify_threading(bolt, cut.h, cfg))

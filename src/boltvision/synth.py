@@ -103,6 +103,8 @@ class RenderParams:
             raise ParameterError(f"px_per_mm must be > 0, got {self.px_per_mm}")
         if not 0.0 <= self.noise <= 0.05:
             raise ParameterError(f"noise must lie in [0, 0.05], got {self.noise}")
+        if self.seed < 0:
+            raise ParameterError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)

@@ -29,8 +29,8 @@ from boltvision.imagecore import (
     GrayImage,
     PixelPoint,
     connected_components,
-    read_binary_pgm,
     read_pgm,
+    threshold,
     write_binary_pgm,
     write_pgm,
 )
@@ -324,7 +324,7 @@ def _fuzz_pgm(rng) -> int:
         h, w = int(rng.integers(1, 41)), int(rng.integers(1, 41))
         binary = BinaryImage(rng.integers(0, 2, size=(h, w)).astype(bool))
         gray = GrayImage(rng.integers(0, 256, size=(h, w)).astype(np.uint8))
-        if (read_binary_pgm(write_binary_pgm(binary)) == binary
+        if (threshold(read_pgm(write_binary_pgm(binary)), 0) == binary
                 and read_pgm(write_pgm(gray)) == gray):
             good += 1
     return good

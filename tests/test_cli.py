@@ -311,6 +311,30 @@ def test_identify_empty_frame_warns(enrolled, tmp_path, capsys):
     assert report["images"] == []
 
 
+@pytest.mark.parametrize("value", ["-1", "0", "nan"])
+def test_identify_rejects_bad_reject_frac(enrolled, tmp_path, capsys, value):
+    # checked when the arguments are parsed, before any frame is read: a
+    # blank frame would otherwise never reach the match
+    root, table, _ = enrolled
+    blank = tmp_path / "blank.pgm"
+    write_black(blank)
+    with pytest.raises(SystemExit) as info:
+        main(["identify", str(blank), "--table", str(table), f"--reject-frac={value}"])
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert "--reject-frac" in captured.err and "number > 0 or inf" in captured.err
+    assert captured.out == ""
+
+
+def test_identify_reject_frac_inf_keeps_far_part(enrolled, tmp_path, capsys):
+    root, table, _ = enrolled
+    query = tmp_path / "odd.pgm"
+    write_render(query, "M4x75_FT")  # not among the three enrolled
+    rc = main(["identify", str(query), "--table", str(table), "--reject-frac", "inf"])
+    assert rc == 0
+    assert "1 identified, 0 unknown" in capsys.readouterr().out
+
+
 def test_identify_truth_accuracy(enrolled, tmp_path, capsys):
     root, table, _ = enrolled
     q = tmp_path / "q.pgm"
@@ -535,6 +559,19 @@ def test_gen_bytes_are_pinned(tmp_path):
 def test_gen_bad_angles_exits_2(tmp_path, capsys):
     rc = main(["gen", "--out", str(tmp_path / "x"), "--angles", "0"])
     assert rc == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["--count", "2", "--seed", "-1"],
+    ["--angles", "1", "--noise", "0.001", "--seed", "-5"],
+])
+def test_gen_negative_seed_exits_2_before_writing(tmp_path, capsys, argv):
+    out = tmp_path / "x"
+    with pytest.raises(SystemExit) as info:
+        main(["gen", "--out", str(out), *argv])
+    assert info.value.code == 2
+    assert "--seed" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_gen_missing_catalog_exits_2(tmp_path):

@@ -189,8 +189,7 @@ def _tip_of(bolt: OrientedBolt) -> np.ndarray:
 
 def _bolt(src: BinaryImage, axis_u, axis_c: float) -> OrientedBolt:
     """An OrientedBolt built by hand; measure_axes reads src and the axis."""
-    return OrientedBolt(img=src, counts=np.count_nonzero(src.px, axis=0),
-                        profile=column_profile(src), src=src,
+    return OrientedBolt(img=src, profile=column_profile(src), src=src,
                         axis_u=axis_u, axis_c=axis_c)
 
 
@@ -241,6 +240,16 @@ def test_tip_equals_oracle_with_the_cut_through_pixel_centres(axis_u):
 def test_tip_equals_oracle_at_random_axes(px, theta, axis_c):
     src = BinaryImage(px)
     _assert_same_tip(_bolt(src, (math.cos(theta), math.sin(theta)), axis_c))
+
+
+@given(arrays(bool, st.tuples(st.integers(1, 40), st.integers(1, 40))),
+       st.floats(0.0, 2.0 * math.pi), st.floats(-60.0, 60.0), st.integers(1, 100))
+def test_tip_equals_oracle_at_random_block_sizes(px, theta, axis_c, block):
+    # blocks of 1 to 100 bytes hold one row, or a few of a narrow mask
+    src = BinaryImage(px)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pipeline, "_TIP_BLOCK", block)
+        _assert_same_tip(_bolt(src, (math.cos(theta), math.sin(theta)), axis_c))
 
 
 def test_empty_tip_still_raises():

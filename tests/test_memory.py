@@ -64,6 +64,7 @@ def test_tip_mask_peak_under_three_part_masks(frame):
     comps = connected_components(threshold(read_pgm(frame)), 50)
     mask = max(comps, key=lambda c: c.area).mask
     bolt = orient(mask)
-    # the tip mask is one array, filled in place and kept by BinaryImage
+    # the tip mask is one array, kept by BinaryImage: its half-plane test
+    # is filled a block of rows at a time and then anded with the part
     peak = _traced_peak(lambda: measure_axes(bolt))
     assert peak <= 3 * mask.px.nbytes

@@ -13,13 +13,11 @@ from boltvision.errors import (
     PitchParityError,
     StageError,
 )
-from boltvision import pipeline
 from boltvision.geometry import loop_length
 from boltvision.imagecore import (
     BinaryImage,
     PixelPoint,
     connected_components,
-    rotate180,
 )
 from boltvision.pipeline import (
     STAGES,
@@ -123,24 +121,6 @@ def test_orient_head_left_all_angles():
         left = int(bolt.img.px[:, :half].sum())
         right = int(bolt.img.px[:, bolt.img.width - half :].sum())
         assert left >= right, f"head not on the left at {angle} deg"
-
-
-def test_orient_counts_follow_half_turn(monkeypatch):
-    turns = []
-
-    def counted_turn(img):
-        turns.append(img)
-        return rotate180(img)
-
-    monkeypatch.setattr(pipeline, "rotate180", counted_turn)
-    turned = 0
-    for angle in range(0, 360, 45):
-        mask, _ = render_mask("M8x35_HT", angle=float(angle), noise=0.002, seed=angle)
-        before = len(turns)
-        bolt = orient(mask)
-        turned += len(turns) > before
-        assert np.array_equal(bolt.counts, np.count_nonzero(bolt.img.px, axis=0))
-    assert 0 < turned < 8
 
 
 # -- measure_axes ------------------------------------------------------------
@@ -407,7 +387,7 @@ def test_body_area_below_full_area():
     mask, _ = render_mask("M10x35_FT")
     bolt = orient(mask)
     cut = remove_head(bolt, measure_axes(bolt)[1])
-    assert bolt.counts[cut.h :].sum() <= bolt.counts.sum()
+    assert np.count_nonzero(bolt.img.px[:, cut.h :]) <= np.count_nonzero(bolt.img.px)
 
 
 def test_extract_passes_config_to_every_stage():
@@ -427,7 +407,7 @@ def test_extract_passes_config_to_every_stage():
             pitch = estimate_pitch(bolt, h, cfg).pitch_px
         by_hand = BoltFeatures(
             major, minor, classify_threading(bolt, h, cfg), pitch,
-            int(bolt.counts.sum()), loop_length(*bolt.profile[1:]),
+            int(np.count_nonzero(bolt.img.px)), loop_length(*bolt.profile[1:]),
         )
         assert extract_features(mask, cfg) == by_hand, (name, angle)
 

@@ -88,6 +88,11 @@ def test_params_reject_heavy_noise():
         RenderParams(100, 100, PixelPoint(50, 50), noise=0.2)
 
 
+def test_params_reject_negative_seed():
+    with pytest.raises(ParameterError):
+        RenderParams(100, 100, PixelPoint(50, 50), noise=0.001, seed=-1)
+
+
 # -- rendering ---------------------------------------------------------------
 
 def test_render_rejects_tight_canvas():
