@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import itertools
 import json
 import math
@@ -490,13 +491,17 @@ def _checked(parse, ok, want: str):
     return convert
 
 
-# --px-per-mm, --reject-frac (where inf disables the rejection) and --seed
+# --px-per-mm, --reject-frac (where inf disables the rejection), --noise
+# and --seed
 _positive_float = _checked(float, lambda v: 0.0 < v < math.inf, "a finite number > 0")
 _reject_frac = _checked(float, lambda v: v > 0.0, "a number > 0 or inf")
+_noise = _checked(float, lambda v: 0.0 <= v <= 0.05, "a number in [0, 0.05]")
 _seed = _checked(int, lambda v: v >= 0, "an integer >= 0")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process; parse_args leaves it as it was."""
     parser = argparse.ArgumentParser(
         prog="boltvision",
         description="Measure and identify bolts from backlit silhouette images.",
@@ -549,7 +554,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="angles per spec in sweep mode (default 12)")
     p.add_argument("--count", type=int, default=None,
                    help="random mode: total number of renders")
-    p.add_argument("--noise", type=float, default=0.0,
+    p.add_argument("--noise", type=_noise, default=0.0,
                    help="salt-and-pepper flip rate (default 0)")
     p.add_argument("--seed", type=_seed, default=0, help="RNG seed (default 0)")
     scale(p)

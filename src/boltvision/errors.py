@@ -69,14 +69,8 @@ class MalformedBoltError(BoltVisionError):
     kind = "malformed-bolt"
 
 
-class InsufficientDataError(BoltVisionError):
-    """Too little foreground to run a classification test."""
-
-    kind = "insufficient-data"
-
-
 class InsufficientCrestsError(BoltVisionError):
-    """The pitch scan found fewer than two usable crest intervals."""
+    """The crest scan found no crest line or fewer than three crest runs."""
 
     kind = "insufficient-crests"
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 from .csvrows import read_rows, write_rows
@@ -136,14 +136,13 @@ def enroll(
 ) -> LookupTable:
     """Measure one image per name and build a lookup table.
 
-    Each sample runs extract_features with the pitch stage skipped, since
-    pitch is not needed for identification.  A failure on any sample
-    aborts enrollment with an error naming it and the stage.  Pairs of
-    templates closer than 1.4% in both dimensions are logged as
-    collisions but still accepted.  LookupTable rejects an empty sample
-    list and a px_per_mm that is not positive.
+    Each sample runs the full chain, extract_features; the table keeps
+    its axes and threading, and the pitch it reads goes unused.  A
+    failure on any sample aborts enrollment with an error naming it and
+    the stage.  Pairs of templates closer than 1.4% in both dimensions
+    are logged as collisions but still accepted.  LookupTable rejects an
+    empty sample list and a px_per_mm that is not positive.
     """
-    no_pitch = replace(cfg, min_pitch_len_px=math.inf)
     entries: list[TemplateEntry] = []
     seen: set[str] = set()
     for name, img in samples:
@@ -151,7 +150,7 @@ def enroll(
             raise EnrollmentError(name, "duplicate sample name")
         seen.add(name)
         try:
-            f = extract_features(img, no_pitch)
+            f = extract_features(img, cfg)
         except StageError as exc:
             raise EnrollmentError(name, str(exc)) from exc
         entries.append(

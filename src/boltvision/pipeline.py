@@ -1,8 +1,8 @@
 """Feature extraction for single-bolt silhouettes.
 
 The stages mirror the measurement chain: orient the component upright with
-the head at the left, measure the two axes, split off the head, classify
-the threading and, when the part is long enough, read the thread pitch.
+the head at the left, measure the two axes, split off the head, then read
+the threading and the thread pitch off one crest scan of the body.
 extract_features() runs them in order and wraps any failure in a
 StageError naming the stage.
 """
@@ -20,7 +20,6 @@ import numpy as np
 from .errors import (
     BoltVisionError,
     InsufficientCrestsError,
-    InsufficientDataError,
     MalformedBoltError,
     ParameterError,
     PitchParityError,
@@ -40,6 +39,9 @@ from .imagecore import BinaryImage, rotate180, white_runs
 DEFAULT_PX_PER_MM = 12.42
 # bytes of float64 projections measure_axes computes per block of rows
 _TIP_BLOCK = 1 << 18
+# a body is half threaded when a stretch without crest structure spans
+# more than this many thread periods
+_PLAIN_PERIODS = 4
 
 
 class ThreadingType(enum.Enum):
@@ -57,20 +59,14 @@ class PipelineConfig:
     from it, so each default and range check lives here alone.
 
     thresh            extra columns discarded past the detected shoulder
-    nudge             rows below the crest line a pitch crest may reach
-    perim_ratio       right/left body loop ratio above which a part is half threaded
+    nudge             rows below the crest line a crest may reach
     head_frac         fraction of the length searched for the shoulder
-    thread_slice_frac fraction of the body, at the tip, used for pitch
-    min_pitch_len_px  skip the pitch estimate for shorter parts
     min_component_area connected_components drops regions below this many pixels
     """
 
     thresh: int = 5
     nudge: int = 2
-    perim_ratio: float = 1.15
     head_frac: float = 0.2
-    thread_slice_frac: float = 0.3
-    min_pitch_len_px: float = 200.0
     min_component_area: int = 50
 
     def __post_init__(self):
@@ -82,18 +78,8 @@ class PipelineConfig:
                 raise ParameterError(f"{name} must be an integer, got {value!r}") from None
             if value < 0:
                 raise ParameterError(f"{name} must be >= 0, got {value}")
-        if not self.perim_ratio > 0:
-            raise ParameterError(f"perim_ratio must be > 0, got {self.perim_ratio}")
         if not 0 < self.head_frac <= 0.5:
             raise ParameterError(f"head_frac must lie in (0, 0.5], got {self.head_frac}")
-        if not 0 < self.thread_slice_frac <= 1:
-            raise ParameterError(
-                f"thread_slice_frac must lie in (0, 1], got {self.thread_slice_frac}"
-            )
-        if not self.min_pitch_len_px >= 0:
-            raise ParameterError(
-                f"min_pitch_len_px must be >= 0, got {self.min_pitch_len_px}"
-            )
 
 
 @dataclass(frozen=True)
@@ -103,10 +89,9 @@ class OrientedBolt:
     img is the warped silhouette: its width is the length and its height
     the head width; the area counts its white pixels.  profile is its
     column profile (cols, top, bot), which the perimeter, the shoulder
-    search, the threading test and the pitch scan read.  src,
-    axis_u and axis_c keep the source frame and the source direction of
-    this image's +x axis so measurements can also be taken before
-    resampling.
+    search and the crest scan read.  src, axis_u and axis_c keep the
+    source frame and the source direction of this image's +x axis so
+    measurements can also be taken before resampling.
     """
 
     img: BinaryImage
@@ -133,8 +118,9 @@ class HeadCut:
 class PitchTrace:
     """Crest scan summary: outer crest centers a..b and crossing count n.
 
-    a and b are the centers of the first and last crest, measured along
-    the crest line.  n is twice the number of whole periods between them,
+    a and b are the centers of the first and last crest the pitch is read
+    off (see read_threads), measured along the crest line from the body's
+    first column.  n is twice the number of whole periods between them,
     so an odd count means the trace is corrupt.  pitch_px is derived as
     (b - a) / (n / 2) and not settable directly.
     """
@@ -266,67 +252,56 @@ def remove_head(
     return HeadCut(h=h, no_shoulder=no_shoulder)
 
 
-def classify_threading(
+def read_threads(
     bolt: OrientedBolt, h: int, cfg: PipelineConfig = PipelineConfig()
-) -> ThreadingType:
-    """Classify the body, the upright columns from h on, as fully or half
-    threaded.
+) -> tuple[ThreadingType, PitchTrace | None]:
+    """Read the threading and the pitch off one crest scan of the body,
+    the upright columns from h on.
 
-    Threads grow toward the tip, so a half-threaded body keeps a plain
-    barrel in its left half and its thread in the right.  The body is half
-    threaded when the loop round the column profile of its right half
-    (geometry.loop_length) is more than cfg.perim_ratio times as long as
-    the loop round its left half.
+    The crest line is the widest edge of the top chain of the hull of the
+    body's (column, top row) points, taken after a width-3 grayscale
+    opening of the top profile (the max over each column and its two
+    neighbours, then the min of that), so a speck up to 2 columns wide
+    cannot set it; the points inside a level stretch of the opened top
+    are collinear and only its end columns are hulled.  A column is crest
+    when its raw top lies within cfg.nudge rows below that line (to the
+    nearest row).  Single-pixel holes in that row of crest flags are
+    filled first: nearest-neighbor resampling can punch them through a
+    crest run, splitting it in two, while genuine inter-crest gaps are
+    always wider.  A wider noise hole still splits a crest, so runs whose
+    gap is under a quarter of the median gap are joined next.  Fewer than
+    3 runs, or no crest line, raise InsufficientCrestsError.
+
+    The period is the median spacing of the run centers.  The body is
+    half threaded when its longest stretch without crest structure, a
+    crest run or a gap (the body's ends included), spans more than
+    _PLAIN_PERIODS periods: a plain barrel lies on the crest line as one
+    long run, a rolled-thread barrel below it as one long gap.
+
+    The pitch is read off the interior runs, those not within 2 px of
+    either body edge, and on a half-threaded body only those past the
+    plain stretch.  Their centers, taken along the crest line, give a and
+    b, and each gap between neighbours counts as a whole number of median
+    gaps, so a crest lost to noise leaves the period count as it was.
+    Fewer than 3 such runs give no pitch.
     """
-    wdt = bolt.img.width - h
-    if wdt < 4:
-        raise InsufficientDataError(f"body too narrow to classify ({wdt} px)")
-    mid = wdt // 2
-    cols, top, bot = bolt.profile
-    body = cols >= h
-    cols, top, bot = cols[body] - h, top[body], bot[body]
-    left = cols < mid
-    if left.all() or not left.any():
-        raise InsufficientDataError("half of the body is blank")
-    pl = loop_length(top[left], bot[left])
-    pr = loop_length(top[~left], bot[~left])
-    return ThreadingType.HALF if pr > cfg.perim_ratio * pl else ThreadingType.FULL
-
-
-def estimate_pitch(
-    bolt: OrientedBolt, h: int, cfg: PipelineConfig = PipelineConfig()
-) -> PitchTrace:
-    """Read the thread pitch off the crest line of the tip slice's profile.
-
-    The slice is the rightmost cfg.thread_slice_frac of the body, the
-    upright columns from h on; each of its columns is read from
-    bolt.profile, so no image is cut.  The crest line is the widest edge
-    of the top chain of the hull of the slice's (column, top row) points,
-    and a column is crest when its top lies within cfg.nudge rows below
-    that line (to the nearest row).  Single-pixel holes in that row of
-    crest flags are filled first: nearest-neighbor resampling can punch
-    them through a crest run, splitting it in two, while genuine
-    inter-crest gaps are always wider.  A wider noise hole still splits a
-    crest, so runs whose gap is under a quarter of the median gap are
-    joined next.  Runs within 2 px of either slice edge are truncated
-    crests and are dropped.  The centers of the m surviving runs, taken
-    along the crest line, give a and b, and each gap between neighbours
-    counts as a whole number of median gaps, so a crest lost to noise
-    leaves the period count as it was; fewer than 3 runs cannot support an
-    estimate.
-    """
-    l = bolt.img.width
-    k = max(1, int(round((l - h) * cfg.thread_slice_frac)))
+    k = bolt.img.width - h
     cols, top, _ = bolt.profile
-    tip = cols >= l - k
-    x, top = cols[tip] - (l - k), top[tip]
-    hull = convex_hull(np.column_stack([x, top]))
+    body = cols >= h
+    x, top = cols[body] - h, top[body]
+    opened = top
+    for f in (np.maximum, np.minimum):
+        t = np.pad(opened, 1, mode="edge")
+        opened = f(f(t[:-2], t[1:-1]), t[2:])
+    step = opened[1:] != opened[:-1]
+    keep = np.r_[True, step] | np.r_[step, True]
+    hull = convex_hull(np.column_stack([x[keep], opened[keep]]))
     # the hull runs counter-clockwise on screen from its leftmost point, so
     # its top chain is the edges that run right to left
     dx, dy = (np.roll(hull, -1, axis=0) - hull).T
     e = int(np.argmin(dx))
     if not dx[e] < 0:
-        raise InsufficientCrestsError(f"tip slice of {k} columns has no crest line")
+        raise InsufficientCrestsError(f"body of {k} columns has no crest line")
     slope = dy[e] / dx[e]
     line = hull[e, 1] + slope * (x - hull[e, 0])
     row = np.zeros(k, dtype=bool)
@@ -337,20 +312,32 @@ def estimate_pitch(
     if gaps.size:
         join = gaps < np.median(gaps) / 4.0
         starts, ends = starts[np.r_[True, ~join]], ends[np.r_[~join, True]]
-    interior = (starts > 2) & (ends < k - 3)
-    m = int(interior.sum())
+    m = starts.size
     if m < 3:
         raise InsufficientCrestsError(
-            f"only {m} interior crest runs {cfg.nudge} rows below the crest line"
+            f"only {m} crest runs {cfg.nudge} rows below the crest line"
         )
-    centers = (starts[interior] + ends[interior]) / 2.0 * math.hypot(1.0, slope)
+
+    period = np.median(np.diff(starts + ends)) / 2.0
+    # stretch i is the gap before run i for i < m, the gap after the last
+    # run for i == m, and run i - m - 1 past that
+    stretches = np.r_[np.r_[starts, k] - np.r_[-1, ends] - 1, ends - starts + 1]
+    i = int(np.argmax(stretches))
+    plain = bool(stretches[i] > _PLAIN_PERIODS * period)
+    usable = (starts > 2) & (ends < k - 3)
+    if plain:
+        usable[: i if i <= m else i - m] = False
+    threading = ThreadingType.HALF if plain else ThreadingType.FULL
+    if int(usable.sum()) < 3:
+        return threading, None
+    centers = (starts[usable] + ends[usable]) / 2.0 * math.hypot(1.0, slope)
     steps = np.diff(centers)
     periods = int(np.rint(steps / np.median(steps)).sum())
-    return PitchTrace(float(centers[0]), float(centers[-1]), 2 * periods)
+    return threading, PitchTrace(float(centers[0]), float(centers[-1]), 2 * periods)
 
 
 # extract_features' stage names, in the order they run
-STAGES = ("orient", "axes", "area", "perimeter", "head", "threading", "pitch")
+STAGES = ("orient", "axes", "area", "perimeter", "head", "threading")
 
 
 def extract_features(
@@ -361,11 +348,11 @@ def extract_features(
 ) -> BoltFeatures:
     """Run the full measurement chain on one component.
 
-    Package errors are re-raised as StageError tagged with the stage name;
-    a pitch scan that finds too few crests is not an error (pitch_px is
-    None, as it is for parts shorter than min_pitch_len_px).  When a dict
-    is passed as timings, per-stage wall time in seconds is accumulated
-    into it.
+    Package errors are re-raised as StageError tagged with the stage name.
+    The threading stage's crest scan also reads the pitch; a body with too
+    few interior crests past its plain stretch keeps its threading and
+    gets pitch_px None.  When a dict is passed as timings, per-stage wall
+    time in seconds is accumulated into it.
     """
 
     def run(stage, fn):
@@ -383,19 +370,12 @@ def extract_features(
     area = run("area", lambda: int(np.count_nonzero(bolt.img.px)))
     perimeter = run("perimeter", lambda: loop_length(*bolt.profile[1:]))
     cut = run("head", lambda: remove_head(bolt, minor, cfg))
-    threading = run("threading", lambda: classify_threading(bolt, cut.h, cfg))
-    pitch = None
-    if major > cfg.min_pitch_len_px:
-        try:
-            pitch = run("pitch", lambda: estimate_pitch(bolt, cut.h, cfg)).pitch_px
-        except StageError as exc:
-            if not isinstance(exc.cause, InsufficientCrestsError):
-                raise
+    threading, trace = run("threading", lambda: read_threads(bolt, cut.h, cfg))
     return BoltFeatures(
         major_px=major,
         minor_px=minor,
         threading=threading,
-        pitch_px=pitch,
+        pitch_px=None if trace is None else trace.pitch_px,
         area_px=area,
         perimeter_px=perimeter,
     )

@@ -38,11 +38,10 @@ from boltvision.pipeline import (
     PipelineConfig,
     PitchTrace,
     ThreadingType,
-    classify_threading,
-    estimate_pitch,
     extract_features,
     measure_axes,
     orient,
+    read_threads,
     remove_head,
 )
 from boltvision.synth import (
@@ -167,18 +166,16 @@ def test_c3_pitch_accuracy(catalog, capsys):
     cases = 0
     for spec in catalog:
         img, truth = _render(spec, 0.0)
-        if truth.major_px <= 200.0:
-            continue
         bolt = orient(_largest_mask(img))
         _, minor = measure_axes(bolt)
         h = remove_head(bolt, minor).h
         for nudge in (1, 2, 3, 4):
-            trace = estimate_pitch(bolt, h, PipelineConfig(nudge=nudge))
+            _, trace = read_threads(bolt, h, PipelineConfig(nudge=nudge))
             worst = max(worst, abs(trace.pitch_px - truth.pitch_px))
             cases += 1
     ok = cases > 0 and worst <= 0.87
     _emit(capsys, 3, ok,
-          f"pitch over {cases} cases (major > 200px, nudge 1-4): "
+          f"pitch over {cases} cases (nudge 1-4): "
           f"max |err| {worst:.3f}px")
 
 
@@ -208,7 +205,7 @@ def test_c5_threading_accuracy(sweep, noisy_run, capsys):
     for spec, angle, bolt, truth in sweep:
         _, minor = measure_axes(bolt)
         h = remove_head(bolt, minor).h
-        if classify_threading(bolt, h) is spec.threading:
+        if read_threads(bolt, h)[0] is spec.threading:
             clean_ok += 1
     records, _ = noisy_run
     noisy_ok = sum(1 for spec, f, _, _ in records if f.threading is spec.threading)

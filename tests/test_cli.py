@@ -97,10 +97,10 @@ def test_parse_config_rejects_unknown_key():
 
 def test_build_config_precedence(tmp_path):
     f = tmp_path / "pipeline.cfg"
-    f.write_text("thresh=3\nperim_ratio=1.3\n")
+    f.write_text("thresh=3\nhead_frac=0.3\n")
     cfg = build_config(str(f), ["thresh=7"])
     assert cfg.thresh == 7  # --set beats the file
-    assert cfg.perim_ratio == 1.3
+    assert cfg.head_frac == 0.3
     assert cfg.nudge == PipelineConfig().nudge  # untouched default
 
 
@@ -108,9 +108,9 @@ def test_build_config_type_errors():
     with pytest.raises(ConfigError):
         build_config(None, ["thresh=2.5"])  # int key
     with pytest.raises(ConfigError):
-        build_config(None, ["perim_ratio=lots"])
+        build_config(None, ["head_frac=lots"])
     with pytest.raises(ConfigError):
-        build_config(None, ["perim_ratio=0"])  # violates the config invariant
+        build_config(None, ["head_frac=0"])  # violates the config invariant
     with pytest.raises(ConfigError):
         build_config(None, ["bogus"])
 
@@ -141,12 +141,10 @@ def _measure_with_config(tmp_path, via: str, item: str) -> int:
 
 
 @pytest.mark.parametrize("via", ["--set", "file"])
-@pytest.mark.parametrize("item", [
-    "min_pitch_len_px=nan", "perim_ratio=inf", "head_frac=-inf", "thread_slice_frac=NaN",
-])
+@pytest.mark.parametrize("item", ["head_frac=nan", "head_frac=inf", "head_frac=-inf",
+                                  "head_frac=NaN"])
 def test_non_finite_config_values_exit_2(tmp_path, capsys, via, item):
-    # a NaN slips past every range check and an inf perim_ratio reads every
-    # part FT; PipelineConfig itself still takes inf, as enroll passes it
+    # a NaN slips past every range check
     assert _measure_with_config(tmp_path, via, item) == 2
     err = capsys.readouterr().err
     assert f"config key '{item.split('=')[0]}' expects a finite number" in err
@@ -574,6 +572,16 @@ def test_gen_negative_seed_exits_2_before_writing(tmp_path, capsys, argv):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("noise", ["0.5", "nan"])
+def test_gen_bad_noise_exits_2_before_writing(tmp_path, capsys, noise):
+    out = tmp_path / "x"
+    with pytest.raises(SystemExit) as info:
+        main(["gen", "--out", str(out), "--angles", "1", "--noise", noise])
+    assert info.value.code == 2
+    assert "--noise" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_gen_missing_catalog_exits_2(tmp_path):
     rc = main(["gen", "--out", str(tmp_path / "x"),
                "--catalog", str(tmp_path / "none.csv")])
@@ -588,7 +596,7 @@ def test_bench_reports_stage_lines(tmp_path, capsys):
     rc = main(["bench", str(img), "--reps", "2"])
     assert rc == 0
     lines = capsys.readouterr().out.strip().split("\n")
-    assert len(lines) == 8
+    assert len(lines) == 7
     stages = []
     for line in lines:
         stage, mean_s, p95_s = line.split(",")
@@ -596,7 +604,7 @@ def test_bench_reports_stage_lines(tmp_path, capsys):
         assert float(mean_s) >= 0.0
         assert float(p95_s) >= float(mean_s) * 0.0  # both parse
     assert stages == ["orient", "axes", "area", "perimeter", "head",
-                      "threading", "pitch", "total"]
+                      "threading", "total"]
 
 
 def test_bench_zero_reps_exits_2(tmp_path, capsys):

@@ -38,7 +38,7 @@ def test_stages_take_their_constants_from_the_config():
     # PipelineConfig is the one home of a stage constant's default and check
     found = [
         f"{fn.__name__}({p.name})"
-        for fn in (pipeline.remove_head, pipeline.classify_threading, pipeline.estimate_pitch)
+        for fn in (pipeline.remove_head, pipeline.read_threads)
         for p in inspect.signature(fn).parameters.values()
         if p.name != "cfg" and p.default is not p.empty
     ]

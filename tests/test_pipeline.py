@@ -8,7 +8,6 @@ import pytest
 from boltvision.errors import (
     EmptyInputError,
     InsufficientCrestsError,
-    InsufficientDataError,
     ParameterError,
     PitchParityError,
     StageError,
@@ -26,11 +25,10 @@ from boltvision.pipeline import (
     PipelineConfig,
     PitchTrace,
     ThreadingType,
-    classify_threading,
-    estimate_pitch,
     extract_features,
     measure_axes,
     orient,
+    read_threads,
     remove_head,
 )
 from boltvision.synth import RenderParams, render_bolt, standard_catalog
@@ -71,8 +69,6 @@ def test_config_rejects_bad_values():
         PipelineConfig(thresh=-1)
     with pytest.raises(ParameterError):
         PipelineConfig(head_frac=0.8)
-    with pytest.raises(ParameterError):
-        PipelineConfig(min_pitch_len_px=math.nan)
     # the integer fields take integers only
     for name in ("thresh", "nudge", "min_component_area"):
         for value in (math.nan, math.inf, 2.5):
@@ -187,33 +183,66 @@ def test_full_thread_classified():
     # detached 1-px fragment that comes first in row-major order
     for name, angle in (("M10x35_FT", 0.0), ("M4x75_FT", 33.9), ("M4x75_FT", 147.3)):
         bolt, h = _body(name, angle)
-        assert classify_threading(bolt, h) is ThreadingType.FULL, (name, angle)
+        assert read_threads(bolt, h)[0] is ThreadingType.FULL, (name, angle)
 
 
 def test_half_thread_classified():
     bolt, h = _body("M10x50_HT")
-    assert classify_threading(bolt, h) is ThreadingType.HALF
+    assert read_threads(bolt, h)[0] is ThreadingType.HALF
 
 
-def test_threading_turns_on_the_loop_ratio_alone():
-    # the left half of this body is a plain barrel, convex and filling its
-    # box, yet it reads FT once perim_ratio passes its loop ratio
-    bolt, h = _body("M10x50_HT")
-    cols, top, bot = bolt.profile
-    body = cols >= h
-    left = cols[body] - h < (bolt.img.width - h) // 2
-    top, bot = top[body], bot[body]
-    ratio = loop_length(top[~left], bot[~left]) / loop_length(top[left], bot[left])
-    below = PipelineConfig(perim_ratio=ratio * (1 - 1e-9))
-    above = PipelineConfig(perim_ratio=ratio * (1 + 1e-9))
-    assert classify_threading(bolt, h, below) is ThreadingType.HALF
-    assert classify_threading(bolt, h, above) is ThreadingType.FULL
+def test_reduced_shank_reads_half_threaded():
+    # a waisted shank is turned down to the thread root, so its barrel
+    # lies below the crest line: most of it shows as one long gap, and
+    # the run left at its start is shorter than _PLAIN_PERIODS periods
+    mask, _ = render_mask("M10x50_HT")
+    bolt = orient(mask)
+    h = remove_head(bolt, measure_axes(bolt)[1]).h
+    _, top, bot = bolt.profile
+    # the barrel runs from the cut to the first column off the crest row
+    end = h + int(np.argmax(top[h:] != top[h]))
+    depth = round(spec_named("M10x50_HT").thread_depth_mm * PPM)
+    px = mask.px.copy()
+    px[: top[h] + depth, h - 2 : end] = False
+    px[bot[h] - depth + 1 :, h - 2 : end] = False
+    assert extract_features(BinaryImage(px)).threading is ThreadingType.HALF
 
 
 def test_threading_needs_width():
     bolt = orient(solid_rect(30, 10))
-    with pytest.raises(InsufficientDataError):
-        classify_threading(bolt, bolt.img.width - 3)
+    with pytest.raises(InsufficientCrestsError):
+        read_threads(bolt, bolt.img.width - 3)
+
+
+# (spec, angle in degrees, seed): noisy renders on which a speck standing on
+# the top edge set the whole body's crest line before the top profile was
+# opened
+SPECK_POSES = (("M12x30_HT", 120.0, 345), ("M10x70_HT", 157.0, 322))
+
+
+@pytest.mark.parametrize("name, angle, seed", SPECK_POSES)
+def test_speck_does_not_set_the_crest_line(name, angle, seed):
+    mask, truth = render_mask(name, angle, noise=0.002, seed=seed)
+    bolt = orient(mask)
+    threading, trace = read_threads(bolt, remove_head(bolt, measure_axes(bolt)[1]).h)
+    assert threading is ThreadingType.HALF
+    assert trace is not None
+    assert abs(trace.pitch_px - truth.pitch_px) / PPM <= 0.07
+
+
+def _disc(r_out: float, r_in: float = 0.0) -> BinaryImage:
+    yy, xx = np.mgrid[:200, :200] - 99.5
+    rr = np.hypot(xx, yy)
+    return BinaryImage((rr <= r_out) & (rr >= r_in))
+
+
+@pytest.mark.parametrize("shape", [_disc(80.0), _disc(80.0, 60.0), solid_rect(200, 50)],
+                         ids=["disc", "ring", "rod"])
+def test_shapes_without_crests_fail_at_threading(shape):
+    with pytest.raises(StageError) as info:
+        extract_features(shape)
+    assert info.value.stage == "threading"
+    assert info.value.kind == "insufficient-crests"
 
 
 # -- pitch -------------------------------------------------------------------
@@ -239,14 +268,14 @@ def test_pitch_trace_rejects_backwards():
 
 def test_pitch_identity_on_returned_trace():
     bolt, h = _body("M10x50_HT")
-    trace = estimate_pitch(bolt, h)
+    _, trace = read_threads(bolt, h)
     assert trace.pitch_px == (trace.b - trace.a) / (trace.n / 2)
 
 
 def test_pitch_within_mm_tolerance():
     bolt, h = _body("M8x35_HT")
     spec = spec_named("M8x35_HT")
-    trace = estimate_pitch(bolt, h)
+    _, trace = read_threads(bolt, h)
     assert abs(trace.pitch_px / PPM - spec.pitch_mm) <= 0.07
 
 
@@ -268,10 +297,10 @@ def test_pitch_joins_crest_split_by_wide_hole():
 
 def test_pitch_smooth_cylinder():
     with pytest.raises(InsufficientCrestsError):
-        estimate_pitch(orient(solid_rect(400, 60)), 0)
-    # a body whose tip slice is one column wide has no crest line
+        read_threads(orient(solid_rect(400, 60)), 0)
+    # a body one column wide has no crest line
     with pytest.raises(InsufficientCrestsError):
-        estimate_pitch(orient(solid_rect(400, 60)), 398)
+        read_threads(orient(solid_rect(400, 60)), 399)
 
 
 # (spec, angle in degrees, seed): noisy sweep renders on which a pitch read
@@ -287,7 +316,7 @@ def test_pitch_at_nudge_1_on_noisy_renders(name, angle, seed):
     mask, truth = render_mask(name, angle, noise=0.002, seed=seed)
     bolt = orient(mask)
     h = remove_head(bolt, measure_axes(bolt)[1]).h
-    trace = estimate_pitch(bolt, h, PipelineConfig(nudge=1))
+    _, trace = read_threads(bolt, h, PipelineConfig(nudge=1))
     assert abs(trace.pitch_px - truth.pitch_px) / PPM <= 0.07
 
 
@@ -326,10 +355,11 @@ def test_extract_deterministic():
     assert extract_features(mask) == extract_features(mask)
 
 
-def test_extract_skips_pitch_for_short_parts():
-    mask, _ = render_mask("M5x12_FT")  # about 150 px long
+def test_extract_reads_pitch_for_short_parts():
+    mask, truth = render_mask("M5x12_FT")  # about 150 px long
     f = extract_features(mask)
-    assert f.pitch_px is None
+    assert f.pitch_px is not None
+    assert abs(f.pitch_px - truth.pitch_px) / PPM <= 0.07
 
 
 def test_extract_area_and_perimeter():
@@ -348,21 +378,21 @@ FT, HT = ThreadingType.FULL, ThreadingType.HALF
 # (spec, angle, noise) -> features; seed 5 for every render
 PINNED_FEATURES = {
     ("M4x75_FT", 30.0, 0.0): BoltFeatures(
-        933.0, 50.540704744423294, FT, 8.706896551724139, 41394, 4112.1559133593255),
+        933.0, 50.540704744423294, FT, 8.693169130822124, 41394, 4112.1559133593255),
     ("M12x75_HT", 0.0, 0.0): BoltFeatures(
-        932.0, 150.00000000000003, HT, 21.75, 142290, 2812.126117170304),
+        932.0, 150.00000000000003, HT, 21.714285714285715, 142290, 2812.126117170304),
     ("M5x12_FT", 45.0, 0.0): BoltFeatures(
-        149.0, 61.811183182043095, FT, None, 9362, 726.7838379715733),
+        149.0, 61.811183182043095, FT, 9.9, 9362, 726.7838379715733),
     ("M8x35_HT", 120.0, 0.0): BoltFeatures(
-        436.0, 100.34404393698819, HT, 15.5, 45592, 1620.476405595748),
+        436.0, 100.34404393698819, HT, 15.5625, 45592, 1620.476405595748),
     ("M4x75_FT", 200.0, 0.002): BoltFeatures(
-        933.0, 50.60273925227433, FT, 8.689655172413794, 41379, 4167.913272672206),
+        933.0, 50.60273925227433, FT, 8.693069306930694, 41379, 4167.913272672206),
     ("M12x75_HT", 75.0, 0.002): BoltFeatures(
-        932.0, 150.02944089236303, HT, 21.7, 141544, 3037.461253694098),
+        932.0, 150.02944089236303, HT, 21.75, 141544, 3037.461253694098),
     ("M6x16_FT", 300.0, 0.002): BoltFeatures(
-        200.0, 75.47220930324428, FT, None, 15504, 910.8498551495555),
+        200.0, 75.47220930324428, FT, 12.545454545454545, 15504, 910.8498551495555),
     ("M10x50_HT", 250.0, 0.002): BoltFeatures(
-        622.0, 125.16907440910404, HT, 18.5, 80611, 2144.7362902255704),
+        622.0, 125.16907440910404, HT, 18.6, 80611, 2144.7362902255704),
 }
 
 
@@ -392,21 +422,17 @@ def test_body_area_below_full_area():
 
 def test_extract_passes_config_to_every_stage():
     # non-default values for every field a stage reads; on these renders
-    # dropping cfg from any one stage call changes the features (a
-    # perim_ratio of 1.7 reads M5x50_HT, loop ratio 1.63, as FT)
-    cfg = PipelineConfig(thresh=0, nudge=3, head_frac=0.3, thread_slice_frac=0.25,
-                         perim_ratio=1.7)
-    for name, angle in (("M6x30_FT", 0.0), ("M5x50_HT", 30.0),
+    # dropping cfg from any one stage call changes the features
+    cfg = PipelineConfig(thresh=0, nudge=3, head_frac=0.3)
+    for name, angle in (("M6x30_FT", 60.0), ("M5x50_HT", 30.0),
                         ("M10x35_FT", 30.0), ("M6x16_FT", 0.0)):
         mask, _ = render_mask(name, angle)
         bolt = orient(mask)
         major, minor = measure_axes(bolt)
         h = remove_head(bolt, minor, cfg).h
-        pitch = None
-        if major > cfg.min_pitch_len_px:
-            pitch = estimate_pitch(bolt, h, cfg).pitch_px
+        threading, trace = read_threads(bolt, h, cfg)
         by_hand = BoltFeatures(
-            major, minor, classify_threading(bolt, h, cfg), pitch,
+            major, minor, threading, trace.pitch_px,
             int(np.count_nonzero(bolt.img.px)), loop_length(*bolt.profile[1:]),
         )
         assert extract_features(mask, cfg) == by_hand, (name, angle)
