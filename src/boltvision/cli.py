@@ -314,10 +314,13 @@ def cmd_identify(args: argparse.Namespace) -> int:
         "errors": sum(1 for r in records if r["error"] is not None),
     }
     if truth is not None:
-        have = [r for r in matched if os.path.abspath(r["path"]) in truth]
+        # a labelled part that fails, or a labelled file that cannot be
+        # read, counts as a miss
+        have = [r for r in records if os.path.abspath(r["path"]) in truth]
         correct = sum(
             1 for r in have
-            if r["match"]["name"] == truth[os.path.abspath(r["path"])]
+            if r["match"] is not None
+            and r["match"]["name"] == truth[os.path.abspath(r["path"])]
         )
         summary["truth_total"] = len(have)
         summary["truth_correct"] = correct

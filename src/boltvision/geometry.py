@@ -29,17 +29,17 @@ _WARP_ROWS = 64
 
 @dataclass(frozen=True)
 class RotatedRect:
-    """Oriented rectangle: center, sizes and an angle in [-90, 0) degrees.
+    """Oriented rectangle: center, a long and a short side, and the long
+    side's unit direction.
 
-    size_w lies along direction (cos angle, sin angle); it is the edge that
-    leaves the lowest corner counter-clockwise.  An axis-aligned enclosure
-    therefore reports angle -90 with size_w vertical.
+    size_w >= size_h, and size_w lies along axis; size_h lies along axis
+    turned a quarter, (-axis[1], axis[0]).
     """
 
     center: tuple[float, float]
     size_w: float
     size_h: float
-    angle: float
+    axis: tuple[float, float]
 
     @property
     def area(self) -> float:
@@ -154,8 +154,10 @@ def rect_of_mask(img: BinaryImage) -> RotatedRect:
     Rotating calipers on the convex hull of the pixel centers, taken from
     each row's leftmost and rightmost white pixel, which hull the same as
     the whole pixel set; extents are dilated by 1 so the result reads as a
-    pixel count.  One edge is flush with a hull edge, the angle lands in
-    [-90, 0), and ties prefer the axis-aligned candidate.
+    pixel count.  The candidate directions are +x, then each hull edge in
+    hull order, and the first of equal areas wins, so axis-aligned input
+    keeps an exact axis.  The winner's longer extent is size_w, along its
+    direction or that direction turned a quarter.
     """
     rows, left, right = _extremes(img.px.T)
     if rows.size == 0:
@@ -163,52 +165,45 @@ def rect_of_mask(img: BinaryImage) -> RotatedRect:
     ys = np.concatenate([rows, rows]).astype(np.float64) + 0.5
     xs = np.concatenate([left, right]).astype(np.float64) + 0.5
     hull = convex_hull(np.column_stack([xs, ys]))
-    # candidate angles: every hull edge (a 2-point hull has one), plus 0 so
-    # axis-aligned input wins ties deterministically
+    # a 2-point hull has one edge
     m = len(hull)
     edges = (np.roll(hull, -1, axis=0) - hull)[: m if m > 2 else m - 1]
-    cands = [0.0] + [math.atan2(dy, dx) for dx, dy in edges.tolist()]
+    cands = [(1.0, 0.0)] + (edges / np.hypot(*edges.T)[:, None]).tolist()
     best_area = math.inf
-    best_t = 0.0
-    for t in cands:
-        c, s = math.cos(t), math.sin(t)
+    for c, s in cands:
         lo1, hi1 = _extents(hull, c, s)
         lo2, hi2 = _extents(hull, -s, c)
-        area = (hi1 - lo1 + 1.0) * (hi2 - lo2 + 1.0)
-        if area < best_area - 1e-12:
-            best_area = area
-            best_t = t
-    angle = math.degrees(best_t) % 90.0 - 90.0
-    t = math.radians(angle)
-    wx, wy = math.cos(t), math.sin(t)
-    lo_w, hi_w = _extents(hull, wx, wy)
-    lo_h, hi_h = _extents(hull, -wy, wx)
-    mw = (lo_w + hi_w) / 2.0
-    mh = (lo_h + hi_h) / 2.0
-    center = (mw * wx + mh * -wy, mw * wy + mh * wx)
-    return RotatedRect(center, hi_w - lo_w + 1.0, hi_h - lo_h + 1.0, angle)
+        w, h = hi1 - lo1 + 1.0, hi2 - lo2 + 1.0
+        if w * h < best_area - 1e-12:
+            best_area = w * h
+            best = (c, s, w, h, (lo1 + hi1) / 2.0, (lo2 + hi2) / 2.0)
+    c, s, w, h, m1, m2 = best
+    center = (m1 * c - m2 * s, m1 * s + m2 * c)
+    if w < h:
+        return RotatedRect(center, h, w, (-s, c))
+    return RotatedRect(center, w, h, (c, s))
 
 
 def warp_to_upright(img: BinaryImage, r: RotatedRect) -> BinaryImage:
     """Resample the rect's content into an upright round(w) x round(h) image.
 
-    Output pixel centers are mapped back into the source by the rect's
-    rotation about its center, scaled by size / round(size) so the output
-    spans the rect exactly, and sampled nearest-neighbor, so the result
-    stays strictly binary; samples outside the source are black.  Output x
-    runs along the rect's size_w axis.  The output is filled a block of
-    rows at a time: the source coordinates stay floats until the bounds
-    test, and a sample inside the source truncates to its pixel, which
-    for a non-negative coordinate is its floor.
+    Output pixel centers are mapped back into the source by the rotation
+    that takes +x to the rect's axis, about its center, scaled by size /
+    round(size) so the output spans the rect exactly, and sampled
+    nearest-neighbor, so the result stays strictly binary; samples outside
+    the source are black.  Output x runs along the axis, output y along
+    the axis turned a quarter.  The output is filled a block of rows at a
+    time: the source coordinates stay floats until the bounds test, and a
+    sample inside the source truncates to its pixel, which for a
+    non-negative coordinate is its floor.
     """
-    if not (math.isfinite(r.size_w) and math.isfinite(r.size_h)):
-        raise GeometryError("rect size is not finite")
+    if not all(map(math.isfinite, (r.size_w, r.size_h, *r.axis))):
+        raise GeometryError("rect size or axis is not finite")
     out_w = int(round(r.size_w))
     out_h = int(round(r.size_h))
     if out_w < 1 or out_h < 1:
         raise GeometryError(f"degenerate rect size ({r.size_w}, {r.size_h})")
-    t = math.radians(r.angle)
-    c, s = math.cos(t), math.sin(t)
+    c, s = r.axis
     cx, cy = r.center
     # offsets from the rect center along its w axis (columns) and h axis
     # (rows)

@@ -40,7 +40,8 @@ _TABLE_COLUMNS = "name,width_px,height_px,threading"
 
 @dataclass(frozen=True)
 class TemplateEntry:
-    """One enrolled bolt: its name and oriented dimensions in pixels."""
+    """One enrolled bolt: its name and oriented dimensions in pixels,
+    both finite, with height_px >= width_px > 0."""
 
     name: str
     width_px: float
@@ -50,24 +51,25 @@ class TemplateEntry:
     def __post_init__(self) -> None:
         if not self.name:
             raise ParameterError("template name must be nonempty")
-        if not 0.0 < self.width_px <= self.height_px:
+        if not (0.0 < self.width_px <= self.height_px and math.isfinite(self.height_px)):
             raise ParameterError(
-                f"template '{self.name}' needs height_px >= width_px > 0, "
+                f"template '{self.name}' needs finite height_px >= width_px > 0, "
                 f"got {self.width_px} x {self.height_px}"
             )
 
 
 @dataclass(frozen=True)
 class LookupTable:
-    """Immutable ordered template table plus the mm conversion factor."""
+    """Immutable ordered template table plus the mm conversion factor,
+    which must be finite and positive."""
 
     px_per_mm: float
     entries: tuple[TemplateEntry, ...]
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "entries", tuple(self.entries))
-        if not self.px_per_mm > 0.0:
-            raise ParameterError(f"px_per_mm must be > 0, got {self.px_per_mm}")
+        if not (self.px_per_mm > 0.0 and math.isfinite(self.px_per_mm)):
+            raise ParameterError(f"px_per_mm must be finite and > 0, got {self.px_per_mm}")
         if not self.entries:
             raise ParameterError("lookup table needs at least one entry")
         names = [e.name for e in self.entries]

@@ -280,12 +280,6 @@ def connected_components(img: BinaryImage, min_area: int = 0) -> list[Component]
     return comps
 
 
-def rotate180(img):
-    """Rotate half a turn, preserving the image type; a view of img's
-    read-only array."""
-    return type(img)(img.px[::-1, ::-1])
-
-
 def _parse_token(data: bytes, pos: int) -> tuple[bytes, int, int]:
     """Next header token skipping whitespace and # comments.
 

@@ -13,7 +13,7 @@ import enum
 import math
 import operator
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -26,13 +26,14 @@ from .errors import (
     StageError,
 )
 from .geometry import (
+    RotatedRect,
     column_profile,
     convex_hull,
     loop_length,
     rect_of_mask,
     warp_to_upright,
 )
-from .imagecore import BinaryImage, rotate180, white_runs
+from .imagecore import BinaryImage, white_runs
 
 
 # scale of the reference setup: the default wherever pixels meet millimetres
@@ -89,16 +90,15 @@ class OrientedBolt:
     img is the warped silhouette: its width is the length and its height
     the head width; the area counts its white pixels.  profile is its
     column profile (cols, top, bot), which the perimeter, the shoulder
-    search and the crest scan read.  src, axis_u and axis_c keep the
-    source frame and the source direction of this image's +x axis so
+    search and the crest scan read.  src is the source frame and rect the
+    rectangle img was warped from, its axis pointing from head to tip, so
     measurements can also be taken before resampling.
     """
 
     img: BinaryImage
     profile: tuple[np.ndarray, np.ndarray, np.ndarray]
     src: BinaryImage
-    axis_u: tuple[float, float]
-    axis_c: float
+    rect: RotatedRect
 
 
 @dataclass(frozen=True)
@@ -162,64 +162,58 @@ class BoltFeatures:
 def orient(component: BinaryImage) -> OrientedBolt:
     """Warp a single-component silhouette upright, head at the left.
 
-    The minimum-area rectangle fixes the axes; the warped image is turned
-    landscape and flipped so the heavier half (the head) sits left.  Ties
-    keep the current orientation.
+    The minimum-area rectangle fixes the axes and the warp along its long
+    side gives a landscape image; when its right half holds more white
+    than its left, the image turns half a turn and the rect's axis is
+    negated, so the heavier half (the head) sits left.  Ties keep the
+    warp as it is.
     """
     rect = rect_of_mask(component)
     up = warp_to_upright(component, rect)
-    t = math.radians(rect.angle)
-    axis_u = (math.cos(t), math.sin(t))
-    if up.height > up.width:
-        up = BinaryImage(np.rot90(up.px, k=-1))
-        axis_u = (math.sin(t), -math.cos(t))
     half = up.width // 2
     if np.count_nonzero(up.px[:, up.width - half :]) > np.count_nonzero(up.px[:, :half]):
-        up = rotate180(up)
-        axis_u = (-axis_u[0], -axis_u[1])
-    cx, cy = rect.center
-    return OrientedBolt(
-        img=up,
-        profile=column_profile(up),
-        src=component,
-        axis_u=axis_u,
-        axis_c=cx * axis_u[0] + cy * axis_u[1],
-    )
+        up = BinaryImage(up.px[::-1, ::-1])
+        ux, uy = rect.axis
+        rect = replace(rect, axis=(-ux, -uy))
+    return OrientedBolt(img=up, profile=column_profile(up), src=component, rect=rect)
 
 
 def measure_axes(bolt: OrientedBolt) -> tuple[float, float]:
     """(major_px, minor_px) of an oriented bolt.
 
-    The major axis is the upright image width.  The minor axis is the
-    short side of a min-area rect fitted to the tip-side half alone, taken
-    in the source frame so the resampling never touches it.  The head half
-    is excluded because the head is wider than the shank, and the refit
-    matters: the whole-part rect can sit a fraction of a degree off the
-    true axis (the head dominates it), which would leak a multiple of the
-    part length into a fixed-axis cross extent.  Assumes the tip half is
-    longer than the part is thick.
+    The major axis is the upright image width.  The minor axis is
+    size_h, the short side, of a min-area rect fitted to the tip-side
+    half alone, taken in the source frame so the resampling never
+    touches it.  The head half is excluded because the head is wider
+    than the shank, and the refit matters: the whole-part rect can sit a
+    fraction of a degree off the true axis (the head dominates it), which
+    would leak a multiple of the part length into a fixed-axis cross
+    extent.  Assumes the tip half is longer than the part is thick.
 
     A source pixel (x, y) lies on the tip side when its center projects
-    onto axis_u at or past axis_c.  Every pixel is tested, a block of rows
-    at a time so the projections never take more than _TIP_BLOCK bytes.
+    onto the rect's axis, which points from head to tip, at or past the
+    rect's center.  Every pixel is tested, a block of rows at a time so
+    the projections never take more than _TIP_BLOCK bytes.
     """
     major = float(bolt.img.width)
     px = bolt.src.px
     h, w = px.shape
-    ux, uy = bolt.axis_u
+    ux, uy = bolt.rect.axis
+    cx, cy = bolt.rect.center
+    cut = cx * ux + cy * uy
     col_term = (np.arange(w) + 0.5) * ux
     row_term = (np.arange(h) + 0.5) * uy
     step = max(1, _TIP_BLOCK // (8 * w))
     tip = np.empty((h, w), dtype=bool)
     for r0 in range(0, h, step):
         rows = slice(r0, r0 + step)
-        np.greater_equal(col_term + row_term[rows, None], bolt.axis_c, out=tip[rows])
+        np.greater_equal(col_term + row_term[rows, None], cut, out=tip[rows])
     np.logical_and(tip, px, out=tip)
     if not bool(tip.any()):
         raise MalformedBoltError("tip half of the bolt is empty")
     tip.setflags(write=False)
     rect = rect_of_mask(BinaryImage(tip))
-    return major, min(rect.size_w, rect.size_h)
+    return major, rect.size_h
 
 
 def remove_head(

@@ -31,7 +31,8 @@ class BoltSpec:
 
     length_mm is the overall length including the head.  threading FULL
     threads the whole shank; HALF threads only the tip section covered by
-    half_thread_frac (rounded down to whole pitches).
+    half_thread_frac (rounded down to whole pitches).  Every length is
+    finite and positive.
     """
 
     name: str
@@ -57,8 +58,9 @@ class BoltSpec:
             "pitch_mm",
             "thread_depth_mm",
         ):
-            if not getattr(self, fld) > 0:
-                raise ParameterError(f"{fld} must be > 0, got {getattr(self, fld)}")
+            value = getattr(self, fld)
+            if not (value > 0 and math.isfinite(value)):
+                raise ParameterError(f"{fld} must be finite and > 0, got {value}")
         if self.head_width_mm <= self.diameter_mm:
             raise ParameterError(
                 f"head_width_mm {self.head_width_mm} must exceed "

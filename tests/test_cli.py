@@ -372,6 +372,27 @@ def test_identify_truth_keys_by_path_not_file_name(enrolled, tmp_path, capsys):
     assert (summary["truth_total"], summary["truth_correct"]) == (1, 0)
 
 
+@pytest.mark.parametrize("failing", ["white.pgm", "missing.pgm"])
+def test_identify_truth_counts_failed_parts(enrolled, tmp_path, capsys, failing):
+    # an all-white frame is one component that fails in the chain, and a
+    # missing frame cannot be read; either label still counts, as a miss
+    root, table, _ = enrolled
+    write_render(tmp_path / "q.pgm", "M8x35_HT", angle=50.0)
+    with open(tmp_path / "white.pgm", "wb") as fh:
+        fh.write(write_binary_pgm(BinaryImage(np.ones((100, 100), bool))))
+    (tmp_path / "truth.csv").write_text(f"file,name\nq.pgm,M8x35_HT\n{failing},M8x35_HT\n")
+    out = tmp_path / "report.json"
+    rc = main(["identify", str(tmp_path / "q.pgm"), str(tmp_path / failing),
+               "--table", str(table), "--truth", str(tmp_path / "truth.csv"),
+               "--json", str(out)])
+    assert rc == 0
+    summary = report_from_json(out.read_bytes())["summary"]
+    assert summary["errors"] == 1
+    assert (summary["truth_total"], summary["truth_correct"]) == (2, 1)
+    assert summary["accuracy"] == 0.5
+    assert capsys.readouterr().out.endswith("1 errors, accuracy 50.0%\n")
+
+
 def test_identify_missing_table_exits_2(tmp_path, capsys):
     q = tmp_path / "q.pgm"
     write_render(q, "M8x35_HT")
@@ -387,6 +408,22 @@ def test_identify_malformed_table_exits_2(tmp_path, capsys):
     rc = main(["identify", str(q), "--table", str(bad)])
     assert rc == 2
     assert "table" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("table", [
+    "# px_per_mm=inf\nname,width_px,height_px,threading\na,100.0,400.0,HT\n",
+    "name,width_px,height_px,threading\na,100.0,inf,HT\n",
+], ids=["scale", "row"])
+def test_identify_non_finite_table_exits_2(tmp_path, capsys, table):
+    q = tmp_path / "q.pgm"
+    write_render(q, "M8x35_HT")
+    bad = tmp_path / "bad.csv"
+    bad.write_text(table)
+    out = tmp_path / "report.json"
+    rc = main(["identify", str(q), "--table", str(bad), "--json", str(out)])
+    assert rc == 2
+    assert "finite" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # -- measure -----------------------------------------------------------------
@@ -586,6 +623,19 @@ def test_gen_missing_catalog_exits_2(tmp_path):
     rc = main(["gen", "--out", str(tmp_path / "x"),
                "--catalog", str(tmp_path / "none.csv")])
     assert rc == 2
+
+
+def test_gen_non_finite_catalog_exits_2_before_writing(tmp_path, capsys):
+    header, rest = save_catalog(standard_catalog()[:1]).split(b"\n", 1)
+    fields = rest.decode().split(",")
+    fields[header.decode().split(",").index("length_mm")] = "inf"
+    cat = tmp_path / "cat.csv"
+    cat.write_bytes(header + b"\n" + ",".join(fields).encode())
+    out = tmp_path / "x"
+    rc = main(["gen", "--out", str(out), "--angles", "1", "--catalog", str(cat)])
+    assert rc == 2
+    assert "line 2" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # -- bench -------------------------------------------------------------------

@@ -115,8 +115,7 @@ def test_hull_equals_oracle_on_a_filled_disc():
 def _warp_oracle(img: BinaryImage, r: RotatedRect) -> np.ndarray:
     out_w = int(round(r.size_w))
     out_h = int(round(r.size_h))
-    t = math.radians(r.angle)
-    c, s = math.cos(t), math.sin(t)
+    c, s = r.axis
     cx, cy = r.center
     u = (np.arange(out_w) + 0.5 - out_w / 2.0) * (r.size_w / out_w)
     v = (np.arange(out_h)[:, None] + 0.5 - out_h / 2.0) * (r.size_h / out_h)
@@ -133,6 +132,11 @@ def _noisy(h: int, w: int, seed: int) -> BinaryImage:
     return BinaryImage(np.random.default_rng(seed).random((h, w)) < 0.5)
 
 
+def _axis(angle: float) -> tuple[float, float]:
+    t = math.radians(angle)
+    return math.cos(t), math.sin(t)
+
+
 EXACT_ANGLES = [0.0, 45.0, -45.0, 90.0, -90.0, 180.0, -180.0, 270.0, -270.0, 360.0]
 
 
@@ -143,7 +147,7 @@ def test_warp_equals_oracle_at_exact_angles(angle):
     # the source on every side
     for center, w, h in [((55.0, 45.0), 40.0, 70.0), ((55.5, 45.5), 150.0, 131.0),
                          ((3.2, 88.7), 65.4, 129.6), ((109.0, 0.0), 1.0, 200.0)]:
-        r = RotatedRect(center, w, h, angle)
+        r = RotatedRect(center, w, h, _axis(angle))
         assert np.array_equal(warp_to_upright(img, r).px, _warp_oracle(img, r))
 
 
@@ -153,7 +157,7 @@ def test_warp_equals_oracle_at_exact_angles(angle):
 @example(-45.0, 0.0, 0.0, 169.0, 169.0, 1)
 def test_warp_equals_oracle_at_random_poses(angle, cx, cy, w, h, seed):
     img = _noisy(80, 100, seed)
-    r = RotatedRect((cx, cy), w, h, angle)
+    r = RotatedRect((cx, cy), w, h, _axis(angle))
     assert np.array_equal(warp_to_upright(img, r).px, _warp_oracle(img, r))
 
 
@@ -161,9 +165,10 @@ def test_warp_equals_oracle_at_random_poses(angle, cx, cy, w, h, seed):
 
 def _tip_oracle(bolt: OrientedBolt) -> np.ndarray:
     ys, xs = np.nonzero(bolt.src.px)
-    ux, uy = bolt.axis_u
+    ux, uy = bolt.rect.axis
+    cx, cy = bolt.rect.center
     pu = (xs + 0.5) * ux + (ys + 0.5) * uy
-    keep = pu >= bolt.axis_c
+    keep = pu >= cx * ux + cy * uy
     tip = np.zeros(bolt.src.px.shape, dtype=bool)
     tip[ys[keep], xs[keep]] = True
     return tip
@@ -187,10 +192,18 @@ def _tip_of(bolt: OrientedBolt) -> np.ndarray:
     return seen[0]
 
 
-def _bolt(src: BinaryImage, axis_u, axis_c: float) -> OrientedBolt:
-    """An OrientedBolt built by hand; measure_axes reads src and the axis."""
+def _bolt(src: BinaryImage, axis, center) -> OrientedBolt:
+    """An OrientedBolt built by hand; measure_axes reads src and the
+    rect's axis and center."""
     return OrientedBolt(img=src, profile=column_profile(src), src=src,
-                        axis_u=axis_u, axis_c=axis_c)
+                        rect=RotatedRect(center, 1.0, 1.0, axis))
+
+
+def _bolt_cut_at(src: BinaryImage, axis, cut: float) -> OrientedBolt:
+    """A hand-built bolt whose rect center cut * axis projects onto the
+    axis at cut, exactly when the axis is (+-1, 0) or (0, +-1)."""
+    ux, uy = axis
+    return _bolt(src, axis, (cut * ux, cut * uy))
 
 
 def _assert_same_tip(bolt: OrientedBolt) -> None:
@@ -212,7 +225,7 @@ def _render_mask(name: str, angle: float) -> BinaryImage:
 
 @pytest.mark.parametrize("angle", [0.0, 17.0, 90.0, 135.0, 180.0, 241.0, 270.0, 333.0])
 def test_tip_equals_oracle_on_oriented_renders(angle):
-    # -90 degree rects give ux = cos(-pi/2), about 6e-17 rather than 0
+    # renders at quarter turns give axes of exactly (+-1, 0) or (0, +-1)
     _assert_same_tip(orient(_render_mask("M6x40_HT", angle)))
 
 
@@ -220,26 +233,29 @@ def test_tip_equals_oracle_on_oriented_renders(angle):
 def test_tip_equals_oracle_when_ux_is_zero(axis_u):
     src = _noisy(40, 30, 7)
     for axis_c in [-25.0, -20.5, 0.0, 12.5, 13.0, 20.0, 39.5, 45.0]:
-        _assert_same_tip(_bolt(src, axis_u, axis_c))
+        bolt = _bolt_cut_at(src, axis_u, axis_c)
+        cx, cy = bolt.rect.center
+        assert cx * axis_u[0] + cy * axis_u[1] == axis_c
+        _assert_same_tip(bolt)
 
 
 @pytest.mark.parametrize("axis_u", [(0.6, 0.8), (-0.6, 0.8), (0.8, -0.6), (-0.8, -0.6),
                                     (1.0, 0.0), (-1.0, 0.0), (6.123e-17, 1.0),
                                     (-6.123e-17, -1.0), (1e-300, 1.0)])
 def test_tip_equals_oracle_with_the_cut_through_pixel_centres(axis_u):
-    # axis_c is the projection of a pixel centre, so pixels sit exactly
-    # on the cut and the >= decides them
+    # the rect is centred on a pixel centre, so that pixel, and any whose
+    # projection ties with it, sit exactly on the cut and the >= decides
+    # them
     src = _noisy(37, 41, 8)
-    ux, uy = axis_u
     for x, y in [(0, 0), (20, 18), (40, 36), (7, 30)]:
-        _assert_same_tip(_bolt(src, axis_u, (x + 0.5) * ux + (y + 0.5) * uy))
+        _assert_same_tip(_bolt(src, axis_u, (x + 0.5, y + 0.5)))
 
 
 @given(arrays(bool, st.tuples(st.integers(1, 40), st.integers(1, 40))),
        st.floats(0.0, 2.0 * math.pi), st.floats(-60.0, 60.0))
 def test_tip_equals_oracle_at_random_axes(px, theta, axis_c):
     src = BinaryImage(px)
-    _assert_same_tip(_bolt(src, (math.cos(theta), math.sin(theta)), axis_c))
+    _assert_same_tip(_bolt_cut_at(src, (math.cos(theta), math.sin(theta)), axis_c))
 
 
 @given(arrays(bool, st.tuples(st.integers(1, 40), st.integers(1, 40))),
@@ -249,11 +265,11 @@ def test_tip_equals_oracle_at_random_block_sizes(px, theta, axis_c, block):
     src = BinaryImage(px)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(pipeline, "_TIP_BLOCK", block)
-        _assert_same_tip(_bolt(src, (math.cos(theta), math.sin(theta)), axis_c))
+        _assert_same_tip(_bolt_cut_at(src, (math.cos(theta), math.sin(theta)), axis_c))
 
 
 def test_empty_tip_still_raises():
-    bolt = _bolt(_noisy(20, 20, 1), (1.0, 0.0), 1e6)
+    bolt = _bolt_cut_at(_noisy(20, 20, 1), (1.0, 0.0), 1e6)
     with pytest.raises(MalformedBoltError):
         measure_axes(bolt)
 

@@ -72,9 +72,8 @@ def sweep_min_area(points: list[tuple[int, int]], step_deg: float = 0.05) -> flo
 
 
 def contains_point(r: RotatedRect, x: float, y: float, slack: float = 0.5) -> bool:
-    t = math.radians(r.angle)
-    dw = (math.cos(t), math.sin(t))
-    dh = (-math.sin(t), math.cos(t))
+    dw = r.axis
+    dh = (-dw[1], dw[0])
     px, py = x - r.center[0], y - r.center[1]
     u = px * dw[0] + py * dw[1]
     v = px * dh[0] + py * dh[1]
@@ -197,9 +196,18 @@ def test_hull_contains_inputs_property(cloud):
 
 def test_rect_of_axis_aligned_block():
     r = rect_of_mask(solid(20, 10))
-    assert r.angle == -90.0
-    assert (r.size_w, r.size_h) == pytest.approx((10.0, 20.0))
-    assert r.center == pytest.approx((10.0, 5.0))
+    assert (r.size_w, r.size_h, r.axis) == (20.0, 10.0, (1.0, 0.0))
+    assert r.center == (10.0, 5.0)
+
+
+@pytest.mark.parametrize("w, h", [(1, 1), (2, 1), (20, 10), (10, 20), (7, 7), (300, 13)])
+def test_rect_of_block_and_its_quarter_turn_is_exact(w, h):
+    px = np.zeros((h + 5, w + 3), bool)
+    px[2 : 2 + h, 1 : 1 + w] = True
+    for turned in (px, np.rot90(px)):
+        r = rect_of_mask(BinaryImage(turned))
+        assert (r.size_w, r.size_h) == (max(w, h), min(w, h))
+        assert r.axis in ((1.0, 0.0), (0.0, 1.0))
 
 
 def test_rect_of_single_pixel():
@@ -219,9 +227,10 @@ def test_rect_against_sweep_oracle():
 
 @given(point_clouds)
 @settings(max_examples=60)
-def test_rect_encloses_and_angle_in_range(cloud):
+def test_rect_encloses_with_unit_axis(cloud):
     r = rect_of_mask(mask_of(cloud))
-    assert -90.0 <= r.angle < 0.0
+    assert r.size_w >= r.size_h
+    assert math.hypot(*r.axis) == pytest.approx(1.0, abs=1e-12)
     for x, y in cloud:
         assert contains_point(r, x + 0.5, y + 0.5)
 
@@ -258,20 +267,22 @@ def test_warp_axis_aligned_equals_crop():
     px[8:20, 5:30] = rng.random((12, 25)) < 0.7
     px[8, 5] = px[19, 29] = True
     img = BinaryImage(px)
-    r = RotatedRect(center=(5 + 12.5, 8 + 6.0), size_w=12.0, size_h=25.0, angle=-90.0)
-    out = warp_to_upright(img, r)
-    # size_w is vertical at -90, so the region content comes out rotated
-    assert np.array_equal(out.px, np.rot90(px[8:20, 5:30], k=3))
-    # fitted rects at -90 degrees, where cos(angle) is about 6e-17 rather
-    # than 0, on the noisy mask and its quarter turns
+    center = (5 + 12.5, 8 + 6.0)
+    r = RotatedRect(center=center, size_w=25.0, size_h=12.0, axis=(1.0, 0.0))
+    assert np.array_equal(warp_to_upright(img, r).px, px[8:20, 5:30])
+    # with size_w pointing up the source, the region content comes out
+    # rotated
+    r = RotatedRect(center=center, size_w=12.0, size_h=25.0, axis=(0.0, -1.0))
+    assert np.array_equal(warp_to_upright(img, r).px, np.rot90(px[8:20, 5:30], k=3))
+    # fitted rects on the noisy mask and its quarter turns: axis (1, 0) on
+    # a landscape box, (0, 1) on a portrait one
     for k in range(4):
         turned = BinaryImage(np.rot90(px, k))
         r = rect_of_mask(turned)
-        assert r.angle == -90.0
         ys, xs = np.nonzero(turned.px)
         out = warp_to_upright(turned, r)
         box = turned.px[ys.min() : ys.max() + 1, xs.min() : xs.max() + 1]
-        assert np.array_equal(out.px, np.rot90(box, k=3))
+        assert np.array_equal(out.px, box if k % 2 == 0 else np.rot90(box, k=1))
 
 
 def test_warp_preserves_count_for_upright_rect():
@@ -285,7 +296,8 @@ def test_warp_preserves_count_for_upright_rect():
 def test_warp_disc_area():
     yy, xx = np.mgrid[0:101, 0:101]
     disc = BinaryImage((xx - 50.0) ** 2 + (yy - 50.0) ** 2 <= 40.0**2)
-    r = RotatedRect(center=(50.5, 50.5), size_w=90.0, size_h=90.0, angle=-37.0)
+    t = math.radians(-37.0)
+    r = RotatedRect(center=(50.5, 50.5), size_w=90.0, size_h=90.0, axis=(math.cos(t), math.sin(t)))
     out = warp_to_upright(disc, r)
     assert np.count_nonzero(out.px) == pytest.approx(math.pi * 40.0**2, rel=0.03)
 
@@ -303,4 +315,10 @@ def test_warp_30deg_counts_match_upright():
 def test_warp_zero_size_rect():
     img = solid(5, 5)
     with pytest.raises(GeometryError):
-        warp_to_upright(img, RotatedRect(center=(2.5, 2.5), size_w=0.0, size_h=0.0, angle=-90.0))
+        warp_to_upright(img, RotatedRect(center=(2.5, 2.5), size_w=0.0, size_h=0.0, axis=(1.0, 0.0)))
+
+
+@pytest.mark.parametrize("axis", [(math.nan, 0.0), (0.0, math.inf), (-math.inf, 1.0)])
+def test_warp_rejects_non_finite_axis(axis):
+    with pytest.raises(GeometryError):
+        warp_to_upright(solid(5, 5), RotatedRect(center=(2.5, 2.5), size_w=3.0, size_h=3.0, axis=axis))

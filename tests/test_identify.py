@@ -266,6 +266,12 @@ def test_load_reference_fixture():
         (b"name,width_px,height_px,threading\na,5.0,2.0,FT\n", 2),  # w > h
         (b"name,width_px,height_px,threading\n", 1),  # no entries
         (b"name,width_px,height_px,threading\n\na,1.0,2.0,FT\n", 2),  # blank line
+        # non-finite numbers
+        (b"# px_per_mm=inf\nname,width_px,height_px,threading\na,1.0,2.0,FT\n", 1),
+        (b"# px_per_mm=nan\nname,width_px,height_px,threading\na,1.0,2.0,FT\n", 1),
+        (b"name,width_px,height_px,threading\na,1.0,2.0,FT\nb,1.0,inf,FT\n", 3),
+        (b"name,width_px,height_px,threading\na,inf,inf,HT\n", 2),
+        (b"name,width_px,height_px,threading\na,nan,2.0,FT\n", 2),
     ],
 )
 def test_load_errors_carry_line(data, line):

@@ -17,7 +17,6 @@ from boltvision.imagecore import (
     connected_components,
     otsu_level,
     read_pgm,
-    rotate180,
     threshold,
     white_runs,
     write_binary_pgm,
@@ -65,7 +64,8 @@ def test_images_keep_a_read_only_array():
     assert np.shares_memory(GrayImage(gray).px, gray)
     b = BinaryImage(white)
     assert np.shares_memory(b.px, white)
-    assert np.shares_memory(rotate180(b).px, white)
+    # orient turns an upright image half a turn with this view
+    assert np.shares_memory(BinaryImage(b.px[::-1, ::-1]).px, white)
 
 
 def test_read_pgm_views_the_bytes():
@@ -296,27 +296,6 @@ def test_components_partition_white_set(img, min_area):
 def test_components_row_major_order(img):
     rects = [c.rect for c in connected_components(img)]
     assert rects == sorted(rects, key=lambda r: (r.y, r.x))
-
-
-# -- rotate ------------------------------------------------------------------
-
-def test_rotate180_corner_pixel():
-    px = np.zeros((5, 5), bool)
-    px[0, 0] = True
-    out = rotate180(BinaryImage(px))
-    assert out.px[4, 4] and np.count_nonzero(out.px) == 1
-
-
-def test_rotate180_symmetric_image():
-    px = np.zeros((3, 3), bool)
-    px[1, 1] = True
-    img = BinaryImage(px)
-    assert rotate180(img) == img
-
-
-@given(binary_images)
-def test_rotate180_involution(img):
-    assert rotate180(rotate180(img)) == img
 
 
 # -- PGM ---------------------------------------------------------------------

@@ -378,17 +378,17 @@ FT, HT = ThreadingType.FULL, ThreadingType.HALF
 # (spec, angle, noise) -> features; seed 5 for every render
 PINNED_FEATURES = {
     ("M4x75_FT", 30.0, 0.0): BoltFeatures(
-        933.0, 50.540704744423294, FT, 8.693169130822124, 41394, 4112.1559133593255),
+        933.0, 50.540704744423266, FT, 8.693169130822124, 41394, 4112.1559133593255),
     ("M12x75_HT", 0.0, 0.0): BoltFeatures(
-        932.0, 150.00000000000003, HT, 21.714285714285715, 142290, 2812.126117170304),
+        932.0, 150.0, HT, 21.714285714285715, 142290, 2812.126117170304),
     ("M5x12_FT", 45.0, 0.0): BoltFeatures(
         149.0, 61.811183182043095, FT, 9.9, 9362, 726.7838379715733),
     ("M8x35_HT", 120.0, 0.0): BoltFeatures(
-        436.0, 100.34404393698819, HT, 15.5625, 45592, 1620.476405595748),
+        436.0, 100.34404393698816, HT, 15.5625, 45592, 1620.476405595748),
     ("M4x75_FT", 200.0, 0.002): BoltFeatures(
-        933.0, 50.60273925227433, FT, 8.693069306930694, 41379, 4167.913272672206),
+        933.0, 50.602739252274276, FT, 8.693069306930694, 41379, 4167.913272672206),
     ("M12x75_HT", 75.0, 0.002): BoltFeatures(
-        932.0, 150.02944089236303, HT, 21.75, 141544, 3037.461253694098),
+        932.0, 150.029440892363, HT, 21.75, 141544, 3037.461253694098),
     ("M6x16_FT", 300.0, 0.002): BoltFeatures(
         200.0, 75.47220930324428, FT, 12.545454545454545, 15504, 910.8498551495555),
     ("M10x50_HT", 250.0, 0.002): BoltFeatures(

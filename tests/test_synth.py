@@ -257,3 +257,11 @@ def test_catalog_csv_errors():
     with pytest.raises(CsvFormatError) as info:
         load_catalog(dup)
     assert info.value.line == 3
+
+    # a non-finite length fails on its line, not when the spec is drawn
+    for column in range(1, 7):
+        fields = first_row.split(",")
+        fields[column] = "inf"
+        with pytest.raises(CsvFormatError) as info:
+            load_catalog(header + b"\n" + ",".join(fields).encode() + b"\n")
+        assert info.value.line == 2
