@@ -284,11 +284,13 @@ def cmd_identify(args: argparse.Namespace) -> int:
     records: list[dict] = []
     timing_rows: list[dict] = []
     failed_files = 0
+    empty: list[str] = []
     for path in args.images:
         try:
             comps = _parts(path, cfg)
         except EmptyInputError:
             print(f"warning: no components in {path}", file=sys.stderr)
+            empty.append(path)
             continue
         except (OSError, PgmFormatError) as exc:
             records.append({
@@ -314,17 +316,18 @@ def cmd_identify(args: argparse.Namespace) -> int:
         "errors": sum(1 for r in records if r["error"] is not None),
     }
     if truth is not None:
-        # a labelled part that fails, or a labelled file that cannot be
-        # read, counts as a miss
+        # a labelled part that fails, a labelled file that cannot be read,
+        # and a labelled frame with no component count as misses
         have = [r for r in records if os.path.abspath(r["path"]) in truth]
+        total = len(have) + sum(1 for p in empty if os.path.abspath(p) in truth)
         correct = sum(
             1 for r in have
             if r["match"] is not None
             and r["match"]["name"] == truth[os.path.abspath(r["path"])]
         )
-        summary["truth_total"] = len(have)
+        summary["truth_total"] = total
         summary["truth_correct"] = correct
-        summary["accuracy"] = correct / len(have) if have else 0.0
+        summary["accuracy"] = correct / total if total else 0.0
 
     timings = {
         "per_component": timing_rows,

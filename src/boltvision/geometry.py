@@ -3,9 +3,11 @@
 A column profile lists, for each column of a binary image that holds
 white, its topmost and bottommost white row; it stands in for the
 boundary of an upright part.  Point sets are plain (n, 2) numpy arrays
-of (x, y) rows.  Sub-pixel positions use the corner-space convention
-from imagecore: pixel (x, y) covers [x, x+1) x [y, y+1) and has its
-center at (x+0.5, y+0.5).  Rectangle sizes are pixel extents: caliper
+of (x, y) rows; the rectangle reads a part's pixels as its white runs
+(imagecore.white_runs), of which only each row's two ends matter.
+Sub-pixel positions use the corner-space convention from imagecore:
+pixel (x, y) covers [x, x+1) x [y, y+1) and has its center at
+(x+0.5, y+0.5).  Rectangle sizes are pixel extents: caliper
 extents over pixel centers plus one, so a single pixel measures 1x1 and
 an axis-aligned w x h block measures exactly (w, h).  Polygon
 orientation is counter-clockwise as drawn on screen (y down).
@@ -46,19 +48,14 @@ class RotatedRect:
         return self.size_w * self.size_h
 
 
-def _extremes(px: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(idx, first, last): the indices along axis 1 that hold white, in
-    order, and each one's first and last white index along axis 0."""
-    idx = np.flatnonzero(px.any(axis=0))
-    first = np.argmax(px, axis=0)[idx]
-    last = px.shape[0] - 1 - np.argmax(px[::-1], axis=0)[idx]
-    return idx, first, last
-
-
 def column_profile(img: BinaryImage) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(cols, top, bot): the columns that hold white, left to right, and
     each one's topmost and bottommost white row, as int arrays."""
-    return _extremes(img.px)
+    px = img.px
+    cols = np.flatnonzero(px.any(axis=0))
+    top = np.argmax(px, axis=0)[cols]
+    bot = px.shape[0] - 1 - np.argmax(px[::-1], axis=0)[cols]
+    return cols, top, bot
 
 
 def loop_length(top: np.ndarray, bot: np.ndarray) -> float:
@@ -143,42 +140,46 @@ def convex_hull(points: np.ndarray) -> np.ndarray:
     return np.array(hull, dtype=np.float64)
 
 
-def _extents(arr: np.ndarray, ux: float, uy: float) -> tuple[float, float]:
-    proj = arr[:, 0] * ux + arr[:, 1] * uy
-    return float(proj.min()), float(proj.max())
+def rect_of_runs(rows: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> RotatedRect:
+    """Minimum-area enclosing rectangle of a set of white runs.
 
-
-def rect_of_mask(img: BinaryImage) -> RotatedRect:
-    """Minimum-area enclosing rectangle of an image's white pixels.
-
-    Rotating calipers on the convex hull of the pixel centers, taken from
-    each row's leftmost and rightmost white pixel, which hull the same as
-    the whole pixel set; extents are dilated by 1 so the result reads as a
-    pixel count.  The candidate directions are +x, then each hull edge in
-    hull order, and the first of equal areas wins, so axis-aligned input
-    keeps an exact axis.  The winner's longer extent is size_w, along its
-    direction or that direction turned a quarter.
+    The runs are imagecore.white_runs' (rows, starts, ends), sorted by
+    (row, start), so each row's leftmost white pixel starts its first run
+    and its rightmost ends its last.  Rotating calipers run on the convex
+    hull of those pixels' centres, which hull the same as the whole pixel
+    set; extents are dilated by 1 so the result reads as a pixel count.
+    The candidate directions are +x, then each hull edge in hull order,
+    all projected in one pass, and the first of equal areas wins, so
+    axis-aligned input keeps an exact axis.  The winner's longer extent
+    is size_w, along its direction or that direction turned a quarter.
     """
-    rows, left, right = _extremes(img.px.T)
     if rows.size == 0:
-        raise EmptyInputError("rect_of_mask of an all-black image")
-    ys = np.concatenate([rows, rows]).astype(np.float64) + 0.5
-    xs = np.concatenate([left, right]).astype(np.float64) + 0.5
+        raise EmptyInputError("rect_of_runs of no runs")
+    new_row = rows[1:] != rows[:-1]
+    first = np.r_[True, new_row]
+    last = np.r_[new_row, True]
+    ys = np.concatenate([rows[first], rows[last]]).astype(np.float64) + 0.5
+    xs = np.concatenate([starts[first], ends[last]]).astype(np.float64) + 0.5
     hull = convex_hull(np.column_stack([xs, ys]))
     # a 2-point hull has one edge
     m = len(hull)
     edges = (np.roll(hull, -1, axis=0) - hull)[: m if m > 2 else m - 1]
-    cands = [(1.0, 0.0)] + (edges / np.hypot(*edges.T)[:, None]).tolist()
+    cands = np.vstack([[1.0, 0.0], edges / np.hypot(*edges.T)[:, None]])
+    c, s = cands[:, :1], cands[:, 1:]
+    hx, hy = hull[:, 0], hull[:, 1]
+    p1 = hx * c + hy * s
+    p2 = hx * (-s) + hy * c
+    lo1, hi1 = p1.min(axis=1), p1.max(axis=1)
+    lo2, hi2 = p2.min(axis=1), p2.max(axis=1)
+    w, h = hi1 - lo1 + 1.0, hi2 - lo2 + 1.0
     best_area = math.inf
-    for c, s in cands:
-        lo1, hi1 = _extents(hull, c, s)
-        lo2, hi2 = _extents(hull, -s, c)
-        w, h = hi1 - lo1 + 1.0, hi2 - lo2 + 1.0
-        if w * h < best_area - 1e-12:
-            best_area = w * h
-            best = (c, s, w, h, (lo1 + hi1) / 2.0, (lo2 + hi2) / 2.0)
-    c, s, w, h, m1, m2 = best
-    center = (m1 * c - m2 * s, m1 * s + m2 * c)
+    for k, area in enumerate((w * h).tolist()):
+        if area < best_area - 1e-12:
+            best_area, best = area, k
+    c, s = cands[best].tolist()
+    w, h = float(w[best]), float(h[best])
+    m1, m2 = (lo1[best] + hi1[best]) / 2.0, (lo2[best] + hi2[best]) / 2.0
+    center = (float(m1 * c - m2 * s), float(m1 * s + m2 * c))
     if w < h:
         return RotatedRect(center, h, w, (-s, c))
     return RotatedRect(center, w, h, (c, s))

@@ -30,7 +30,7 @@ from .geometry import (
     column_profile,
     convex_hull,
     loop_length,
-    rect_of_mask,
+    rect_of_runs,
     warp_to_upright,
 )
 from .imagecore import BinaryImage, white_runs
@@ -38,8 +38,6 @@ from .imagecore import BinaryImage, white_runs
 
 # scale of the reference setup: the default wherever pixels meet millimetres
 DEFAULT_PX_PER_MM = 12.42
-# bytes of float64 projections measure_axes computes per block of rows
-_TIP_BLOCK = 1 << 18
 # a body is half threaded when a stretch without crest structure spans
 # more than this many thread periods
 _PLAIN_PERIODS = 4
@@ -90,14 +88,16 @@ class OrientedBolt:
     img is the warped silhouette: its width is the length and its height
     the head width; the area counts its white pixels.  profile is its
     column profile (cols, top, bot), which the perimeter, the shoulder
-    search and the crest scan read.  src is the source frame and rect the
-    rectangle img was warped from, its axis pointing from head to tip, so
+    search and the crest scan read.  src is the source frame, runs its
+    white runs as imagecore.white_runs gives them, and rect the rectangle
+    img was warped from, its axis pointing from head to tip, so
     measurements can also be taken before resampling.
     """
 
     img: BinaryImage
     profile: tuple[np.ndarray, np.ndarray, np.ndarray]
     src: BinaryImage
+    runs: tuple[np.ndarray, np.ndarray, np.ndarray]
     rect: RotatedRect
 
 
@@ -162,20 +162,23 @@ class BoltFeatures:
 def orient(component: BinaryImage) -> OrientedBolt:
     """Warp a single-component silhouette upright, head at the left.
 
-    The minimum-area rectangle fixes the axes and the warp along its long
-    side gives a landscape image; when its right half holds more white
-    than its left, the image turns half a turn and the rect's axis is
-    negated, so the heavier half (the head) sits left.  Ties keep the
-    warp as it is.
+    The component's white runs are taken once and kept on the result.
+    The minimum-area rectangle of those runs fixes the axes and the warp
+    along its long side gives a landscape image; when its right half
+    holds more white than its left, the image turns half a turn and the
+    rect's axis is negated, so the heavier half (the head) sits left.
+    Ties keep the warp as it is.
     """
-    rect = rect_of_mask(component)
+    runs = white_runs(component.px)
+    rect = rect_of_runs(*runs)
     up = warp_to_upright(component, rect)
     half = up.width // 2
     if np.count_nonzero(up.px[:, up.width - half :]) > np.count_nonzero(up.px[:, :half]):
         up = BinaryImage(up.px[::-1, ::-1])
         ux, uy = rect.axis
         rect = replace(rect, axis=(-ux, -uy))
-    return OrientedBolt(img=up, profile=column_profile(up), src=component, rect=rect)
+    return OrientedBolt(img=up, profile=column_profile(up), src=component, runs=runs,
+                        rect=rect)
 
 
 def measure_axes(bolt: OrientedBolt) -> tuple[float, float]:
@@ -192,27 +195,47 @@ def measure_axes(bolt: OrientedBolt) -> tuple[float, float]:
 
     A source pixel (x, y) lies on the tip side when its center projects
     onto the rect's axis, which points from head to tip, at or past the
-    rect's center.  Every pixel is tested, a block of rows at a time so
-    the projections never take more than _TIP_BLOCK bytes.
+    rect's center: (x + 0.5) * ux + (y + 0.5) * uy >= cut.  In a fixed row
+    that test is monotone in x, so the tip of each row is a run of
+    columns from one end, and each of the source's white runs is clipped
+    at its row's bound rather than any pixel tested.  The bound is a
+    searchsorted guess on the column terms, moved a column at a time
+    until the test itself holds there and fails one column before, so
+    the tip holds exactly the pixels the test passes; with ux == 0 the
+    test is the same along a row, which is kept or dropped whole.
     """
     major = float(bolt.img.width)
-    px = bolt.src.px
-    h, w = px.shape
+    h, w = bolt.src.px.shape
+    rows, starts, ends = bolt.runs
     ux, uy = bolt.rect.axis
     cx, cy = bolt.rect.center
     cut = cx * ux + cy * uy
     col_term = (np.arange(w) + 0.5) * ux
     row_term = (np.arange(h) + 0.5) * uy
-    step = max(1, _TIP_BLOCK // (8 * w))
-    tip = np.empty((h, w), dtype=bool)
-    for r0 in range(0, h, step):
-        rows = slice(r0, r0 + step)
-        np.greater_equal(col_term + row_term[rows, None], cut, out=tip[rows])
-    np.logical_and(tip, px, out=tip)
-    if not bool(tip.any()):
+    # terms[1:-1] runs in the order in which the test goes from failing to
+    # passing; the infinite ends fail and pass in every row
+    inner = col_term if ux >= 0 else col_term[::-1]
+    terms = np.r_[-np.inf, inner, np.inf]
+    k = np.searchsorted(terms, cut - row_term)
+    while True:
+        back = terms[k - 1] + row_term >= cut
+        if not back.any():
+            break
+        k -= back
+    while True:
+        ahead = terms[k] + row_term < cut
+        if not ahead.any():
+            break
+        k += ahead
+    # the tip of row y is the inner terms from index k[y] - 1 on
+    if ux >= 0:
+        starts = np.maximum(starts, k[rows] - 1)
+    else:
+        ends = np.minimum(ends, w - k[rows])
+    keep = starts <= ends
+    if not bool(keep.any()):
         raise MalformedBoltError("tip half of the bolt is empty")
-    tip.setflags(write=False)
-    rect = rect_of_mask(BinaryImage(tip))
+    rect = rect_of_runs(rows[keep], starts[keep], ends[keep])
     return major, rect.size_h
 
 

@@ -15,7 +15,7 @@ import pytest
 
 from boltvision.cli import main, report_from_json, report_to_json
 from boltvision.errors import PitchParityError
-from boltvision.geometry import rect_of_mask
+from boltvision.geometry import rect_of_runs
 from boltvision.identify import (
     LookupTable,
     TemplateEntry,
@@ -31,6 +31,7 @@ from boltvision.imagecore import (
     connected_components,
     read_pgm,
     threshold,
+    white_runs,
     write_binary_pgm,
     write_pgm,
 )
@@ -237,7 +238,7 @@ def test_c6_calipers_vs_sweep(capsys):
         pts = rng.integers(0, 200, size=(n, 2))
         px = np.zeros((200, 200), bool)
         px[pts[:, 1], pts[:, 0]] = True
-        cal = rect_of_mask(BinaryImage(px)).area
+        cal = rect_of_runs(*white_runs(px)).area
         ref = _sweep_rect_area(pts)
         assert cal <= ref + 1e-6  # the sweep can only overshoot the optimum
         worst = max(worst, (ref - cal) / ref)

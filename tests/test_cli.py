@@ -393,6 +393,29 @@ def test_identify_truth_counts_failed_parts(enrolled, tmp_path, capsys, failing)
     assert capsys.readouterr().out.endswith("1 errors, accuracy 50.0%\n")
 
 
+def test_identify_truth_counts_frame_without_component(enrolled, tmp_path, capsys):
+    # an all-black frame makes no record, but its label still counts, as
+    # a miss; the warning and the exit code stay
+    root, table, _ = enrolled
+    write_render(tmp_path / "M8x35_HT_a000.pgm", "M8x35_HT")
+    write_black(tmp_path / "black.pgm", side=100)
+    (tmp_path / "truth.csv").write_text(
+        "file,name\nM8x35_HT_a000.pgm,M8x35_HT\nblack.pgm,M8x35_HT\n")
+    out = tmp_path / "report.json"
+    rc = main(["identify", str(tmp_path / "M8x35_HT_a000.pgm"), str(tmp_path / "black.pgm"),
+               "--table", str(table), "--truth", str(tmp_path / "truth.csv"),
+               "--json", str(out)])
+    assert rc == 0
+    report = report_from_json(out.read_bytes())
+    assert len(report["images"]) == 1
+    summary = report["summary"]
+    assert (summary["truth_total"], summary["truth_correct"]) == (2, 1)
+    assert summary["accuracy"] == 0.5
+    captured = capsys.readouterr()
+    assert "no components" in captured.err
+    assert captured.out.endswith("0 errors, accuracy 50.0%\n")
+
+
 def test_identify_missing_table_exits_2(tmp_path, capsys):
     q = tmp_path / "q.pgm"
     write_render(q, "M8x35_HT")

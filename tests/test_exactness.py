@@ -4,8 +4,9 @@ Each oracle below is the former implementation of its kernel: the
 convex hull without the octagon prefilter, the warp over whole-image
 coordinate grids, the tip mask filled from np.nonzero and the white runs
 found over one padded copy of the whole frame.  The kernels must match
-them exactly, not within a tolerance.  The Otsu histogram is checked
-against an exhaustive scan in test_imagecore.py.
+them exactly, not within a tolerance; the tip, clipped from the part's
+white runs, is painted back into a mask to compare.  The Otsu histogram
+is checked against an exhaustive scan in test_imagecore.py.
 """
 
 from __future__ import annotations
@@ -175,28 +176,35 @@ def _tip_oracle(bolt: OrientedBolt) -> np.ndarray:
 
 
 def _tip_of(bolt: OrientedBolt) -> np.ndarray:
-    """The mask measure_axes fits its rect to, or None for an empty tip."""
+    """The tip runs measure_axes fits its rect to, painted into a mask of
+    the source's shape, or None for an empty tip.  The runs must also be
+    the mask's own white runs, in white_runs' order."""
     seen = []
-    real = pipeline.rect_of_mask
+    real = pipeline.rect_of_runs
 
-    def capture(img):
-        seen.append(img.px.copy())
-        return real(img)
+    def capture(rows, starts, ends):
+        seen.append((rows.copy(), starts.copy(), ends.copy()))
+        return real(rows, starts, ends)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(pipeline, "rect_of_mask", capture)
+        mp.setattr(pipeline, "rect_of_runs", capture)
         try:
             measure_axes(bolt)
         except MalformedBoltError:
             return None
-    return seen[0]
+    tip = np.zeros(bolt.src.px.shape, dtype=bool)
+    for y, a, b in zip(*seen[0]):
+        tip[y, a : b + 1] = True
+    for got, want in zip(seen[0], white_runs(tip)):
+        assert np.array_equal(got, want)
+    return tip
 
 
 def _bolt(src: BinaryImage, axis, center) -> OrientedBolt:
-    """An OrientedBolt built by hand; measure_axes reads src and the
-    rect's axis and center."""
+    """An OrientedBolt built by hand; measure_axes reads src's shape, its
+    runs and the rect's axis and center."""
     return OrientedBolt(img=src, profile=column_profile(src), src=src,
-                        rect=RotatedRect(center, 1.0, 1.0, axis))
+                        runs=white_runs(src.px), rect=RotatedRect(center, 1.0, 1.0, axis))
 
 
 def _bolt_cut_at(src: BinaryImage, axis, cut: float) -> OrientedBolt:
@@ -256,16 +264,6 @@ def test_tip_equals_oracle_with_the_cut_through_pixel_centres(axis_u):
 def test_tip_equals_oracle_at_random_axes(px, theta, axis_c):
     src = BinaryImage(px)
     _assert_same_tip(_bolt_cut_at(src, (math.cos(theta), math.sin(theta)), axis_c))
-
-
-@given(arrays(bool, st.tuples(st.integers(1, 40), st.integers(1, 40))),
-       st.floats(0.0, 2.0 * math.pi), st.floats(-60.0, 60.0), st.integers(1, 100))
-def test_tip_equals_oracle_at_random_block_sizes(px, theta, axis_c, block):
-    # blocks of 1 to 100 bytes hold one row, or a few of a narrow mask
-    src = BinaryImage(px)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(pipeline, "_TIP_BLOCK", block)
-        _assert_same_tip(_bolt_cut_at(src, (math.cos(theta), math.sin(theta)), axis_c))
 
 
 def test_empty_tip_still_raises():

@@ -14,10 +14,10 @@ from boltvision.geometry import (
     column_profile,
     convex_hull,
     loop_length,
-    rect_of_mask,
+    rect_of_runs,
     warp_to_upright,
 )
-from boltvision.imagecore import BinaryImage, PixelPoint
+from boltvision.imagecore import BinaryImage, PixelPoint, white_runs
 
 binary_images = arrays(bool, st.tuples(st.integers(1, 14), st.integers(1, 14))).map(BinaryImage)
 point_clouds = st.lists(
@@ -195,7 +195,7 @@ def test_hull_contains_inputs_property(cloud):
 # -- min-area rect -----------------------------------------------------------
 
 def test_rect_of_axis_aligned_block():
-    r = rect_of_mask(solid(20, 10))
+    r = rect_of_runs(*white_runs(solid(20, 10).px))
     assert (r.size_w, r.size_h, r.axis) == (20.0, 10.0, (1.0, 0.0))
     assert r.center == (10.0, 5.0)
 
@@ -205,13 +205,13 @@ def test_rect_of_block_and_its_quarter_turn_is_exact(w, h):
     px = np.zeros((h + 5, w + 3), bool)
     px[2 : 2 + h, 1 : 1 + w] = True
     for turned in (px, np.rot90(px)):
-        r = rect_of_mask(BinaryImage(turned))
+        r = rect_of_runs(*white_runs(turned))
         assert (r.size_w, r.size_h) == (max(w, h), min(w, h))
         assert r.axis in ((1.0, 0.0), (0.0, 1.0))
 
 
 def test_rect_of_single_pixel():
-    r = rect_of_mask(one_pixel(4, 4, 1, 2))
+    r = rect_of_runs(*white_runs(one_pixel(4, 4, 1, 2).px))
     assert (r.size_w, r.size_h) == pytest.approx((1.0, 1.0))
     assert r.center == pytest.approx((1.5, 2.5))
 
@@ -221,14 +221,14 @@ def test_rect_against_sweep_oracle():
     for _ in range(20):
         pts = [tuple(map(int, p)) for p in rng.integers(0, 80, size=(30, 2))]
         pts = sorted(set(pts))
-        r = rect_of_mask(mask_of(pts))
+        r = rect_of_runs(*white_runs(mask_of(pts).px))
         assert r.size_w * r.size_h <= sweep_min_area(pts) * 1.005
 
 
 @given(point_clouds)
 @settings(max_examples=60)
 def test_rect_encloses_with_unit_axis(cloud):
-    r = rect_of_mask(mask_of(cloud))
+    r = rect_of_runs(*white_runs(mask_of(cloud).px))
     assert r.size_w >= r.size_h
     assert math.hypot(*r.axis) == pytest.approx(1.0, abs=1e-12)
     for x, y in cloud:
@@ -241,7 +241,7 @@ def test_rect_area_at_most_axis_aligned(cloud):
     xs = [p[0] for p in cloud]
     ys = [p[1] for p in cloud]
     aabb = (max(xs) - min(xs) + 1.0) * (max(ys) - min(ys) + 1.0)
-    r = rect_of_mask(mask_of(cloud))
+    r = rect_of_runs(*white_runs(mask_of(cloud).px))
     assert r.size_w * r.size_h <= aabb + 1e-9
 
 
@@ -249,14 +249,14 @@ def test_rect_area_invariant_under_90_rotation():
     rng = np.random.default_rng(23)
     px = rng.random((40, 60)) < 0.3
     px[20, 30] = True
-    a = rect_of_mask(BinaryImage(px))
-    b = rect_of_mask(BinaryImage(np.rot90(px)))
+    a = rect_of_runs(*white_runs(px))
+    b = rect_of_runs(*white_runs(np.rot90(px)))
     assert a.size_w * a.size_h == pytest.approx(b.size_w * b.size_h, rel=0.01)
 
 
-def test_rect_of_mask_empty():
+def test_rect_of_runs_empty():
     with pytest.raises(EmptyInputError):
-        rect_of_mask(BinaryImage(np.zeros((3, 3), bool)))
+        rect_of_runs(*white_runs(np.zeros((3, 3), bool)))
 
 
 # -- warp --------------------------------------------------------------------
@@ -278,7 +278,7 @@ def test_warp_axis_aligned_equals_crop():
     # a landscape box, (0, 1) on a portrait one
     for k in range(4):
         turned = BinaryImage(np.rot90(px, k))
-        r = rect_of_mask(turned)
+        r = rect_of_runs(*white_runs(turned.px))
         ys, xs = np.nonzero(turned.px)
         out = warp_to_upright(turned, r)
         box = turned.px[ys.min() : ys.max() + 1, xs.min() : xs.max() + 1]
@@ -289,7 +289,7 @@ def test_warp_preserves_count_for_upright_rect():
     px = np.zeros((20, 26), bool)
     px[4:16, 3:23] = True
     img = BinaryImage(px)
-    out = warp_to_upright(img, rect_of_mask(img))
+    out = warp_to_upright(img, rect_of_runs(*white_runs(img.px)))
     assert np.count_nonzero(out.px) == np.count_nonzero(img.px)
 
 
@@ -308,7 +308,7 @@ def test_warp_30deg_counts_match_upright():
     spec = next(s for s in standard_catalog() if s.name == "M8x35_HT")
     flat, _ = render_bolt(spec, RenderParams(600, 600, PixelPoint(300, 300)))
     tilted, _ = render_bolt(spec, RenderParams(600, 600, PixelPoint(300, 300), angle_deg=30.0))
-    up = warp_to_upright(tilted, rect_of_mask(tilted))
+    up = warp_to_upright(tilted, rect_of_runs(*white_runs(tilted.px)))
     assert np.count_nonzero(up.px) == pytest.approx(np.count_nonzero(flat.px), rel=0.02)
 
 

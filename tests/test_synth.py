@@ -7,12 +7,13 @@ import numpy as np
 import pytest
 
 from boltvision.errors import CsvFormatError, GeometryError, ParameterError
-from boltvision.geometry import rect_of_mask
+from boltvision.geometry import rect_of_runs
 from boltvision.imagecore import (
     AxisRect,
     BinaryImage,
     PixelPoint,
     connected_components,
+    white_runs,
     write_binary_pgm,
 )
 from boltvision.pipeline import ThreadingType
@@ -110,7 +111,7 @@ def test_render_rect_matches_spec_arithmetic():
         threading=ThreadingType.FULL,
     )
     img, _ = render_bolt(spec, RenderParams(500, 500, PixelPoint(250, 250)))
-    r = rect_of_mask(img)
+    r = rect_of_runs(*white_runs(img.px))
     assert abs(round(max(r.size_w, r.size_h)) - 435) <= 1
     assert abs(round(min(r.size_w, r.size_h)) - 99) <= 1
 
